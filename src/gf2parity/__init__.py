@@ -23,7 +23,6 @@ from .gf2poly import (
 from .intres import (
     IntMatrix,
     IntPoly,
-    Residue8,
     det_exact,
     det_mod8,
     discriminant_int,
@@ -66,7 +65,6 @@ __all__ = [
     "LemmaInstance",
     "ParityReport",
     "PolyParseError",
-    "Residue8",
     "SearchQuery",
     "SearchRecord",
     "SupportSpec",

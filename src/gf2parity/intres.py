@@ -1,13 +1,14 @@
 """Exact integer resultants, discriminants, and their residues mod 8.
 
-Polynomials live over Z with arbitrary precision coefficients. The
-resultant is the determinant of the Sylvester matrix, computed exactly by
-fraction-free (Bareiss) elimination; mod-8 queries may take an
-elimination shortcut that pivots only on odd entries and falls back to
-the exact path otherwise. Z/8Z is not a field, so naive modular
-elimination would be unsound; the shortcut is correct because every
-division it performs is by a unit, and the test suite gates it against
-the exact determinant.
+Polynomials live over Z with arbitrary precision coefficients. The exact
+resultant is the determinant of the Sylvester matrix, computed by
+fraction-free (Bareiss) elimination. The mod-8 resultant of a monic f of
+degree n is the determinant of the n x n matrix of multiplication by g
+on (Z/8)[x]/(f), eliminated over Z/8 with odd pivots only. Z/8Z is not
+a field, but odd entries are units, so every elimination step is exact;
+once no odd entry is left, the remaining minor is all even and its
+determinant is read off directly (0 mod 8 when it is 3 x 3 or larger).
+Matrix rows are packed into one int each, one entry per 8-bit lane.
 
 Leading zero coefficients are representable only through an explicitly
 declared degree, which is the padding device used for resultants of a
@@ -15,28 +16,6 @@ monic polynomial against a shorter second argument.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class Residue8:
-    """An element of Z/8Z."""
-
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < 8:
-            raise ValueError("residue must lie in 0..7")
-
-    @classmethod
-    def reduce(cls, v: int) -> Residue8:
-        return cls(v % 8)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 class IntPoly:
@@ -163,26 +142,6 @@ def format_int_poly(f: IntPoly) -> str:
     return ",".join(pairs) if pairs else "0"
 
 
-def monic_divmod(g: IntPoly, f: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Quotient and remainder of g by monic f, exact over Z."""
-    n = f.degree
-    if f.coeff(n) != 1:
-        raise ValueError("divisor must be monic")
-    r = list(g.coeffs)
-    q = [0] * max(len(r) - n, 1)
-    while len(r) > n and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) <= n:
-            break
-        k = len(r) - 1 - n
-        c = r[-1]
-        q[k] = c
-        for i in range(n + 1):
-            r[k + i] -= c * f.coeff(i)
-    return IntPoly(q), IntPoly(r)
-
-
 class IntMatrix:
     """Dense integer matrix stored row-major."""
 
@@ -285,44 +244,94 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_mod8_unit_pivot(m: IntMatrix) -> int | None:
-    """Determinant mod 8 by elimination with odd pivots, or None.
+def _pack(entries) -> int:
+    """Entries reduced mod 8, one 8-bit lane each, the first in the lowest lane."""
+    return int.from_bytes(bytes([e % 8 for e in entries]), "little")
 
-    Entries are reduced mod 8 up front; uint8 arithmetic then runs mod
-    256, which projects onto mod 8 at the end. Odd pivots are units mod
-    256, so every division is exact. A column with no odd entry left
-    means the remaining minor is even and this path gives up.
+
+def _lane_mask(n: int, value: int) -> int:
+    return value * int.from_bytes(b"\x01" * n, "little")
+
+
+def _det_mod8_packed(rows: list[int], n: int) -> int:
+    """Determinant in 0..7 of the n x n matrix with packed rows (see _pack).
+
+    Full pivoting on odd entries: the pivot row is the first remaining
+    row with an odd lane, the pivot column its lowest odd lane. An odd p
+    is its own inverse mod 8, so the pivot row scaled by p has a 1 in the
+    pivot column, and adding (8 - e) times it clears an entry e from the
+    other remaining rows; lanes stay at most 7 + 7 * 7 < 256, so no carry
+    crosses a lane. Each pivot enters the product with the sign of the k + j
+    adjacent swaps that would move it to the front of the remaining rows
+    and columns. When the remaining s x s minor has no odd entry it is
+    all even, so its determinant is 0 mod 8 for s >= 3 and is taken
+    directly for s <= 2.
     """
-    n = m.n_rows
-    if n == 0:
-        return 1
-    a = np.array([e % 8 for e in m.entries], dtype=np.uint8).reshape(n, n)
+    ones = _lane_mask(n, 1)
+    sevens = 7 * ones
+    rest = list(rows)
+    free = list(range(n))  # columns not yet pivoted, ascending
     det = 1
-    sign = 1
-    for k in range(n):
-        odd = np.flatnonzero(a[k:, k] & 1)
-        if odd.size == 0:
-            return None
-        p = k + int(odd[0])
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            sign = -sign
-        piv = int(a[k, k])
-        det = det * piv % 256
-        if k + 1 < n:
-            mult = a[k + 1:, k] * np.uint8(pow(piv, -1, 256))
-            a[k + 1:, k:] -= np.outer(mult, a[k, k:])
-    return sign * det % 8
+    while True:
+        k = next((k for k, r in enumerate(rest) if r & ones), None)
+        if k is None:
+            break
+        r = rest.pop(k)
+        odd = r & ones
+        shift = (odd & -odd).bit_length() - 1
+        j = free.index(shift >> 3)
+        del free[j]
+        p = r >> shift & 7
+        det = det * (-p if (k + j) % 2 else p) % 8
+        unit = r * p & sevens
+        for i, s in enumerate(rest):
+            e = s >> shift & 7
+            if e:
+                rest[i] = (s + unit * (8 - e)) & sevens
+    if len(rest) >= 3:
+        return 0
+    minor = [[r >> 8 * c & 7 for c in free] for r in rest]
+    if len(minor) == 2:
+        det *= minor[0][0] * minor[1][1] - minor[0][1] * minor[1][0]
+    elif minor:
+        det *= minor[0][0]
+    return det % 8
 
 
-def det_mod8(m: IntMatrix) -> Residue8:
-    """Determinant mod 8, via the unit-pivot shortcut when it applies."""
+def det_mod8(m: IntMatrix) -> int:
+    """Determinant reduced into 0..7."""
     if m.n_rows != m.n_cols:
         raise ValueError("determinant of a non-square matrix")
-    v = _det_mod8_unit_pivot(m)
-    if v is None:
-        v = det_exact(m) % 8
-    return Residue8(v)
+    n = m.n_rows
+    return _det_mod8_packed([_pack(m.entries[i * n:(i + 1) * n]) for i in range(n)], n)
+
+
+def _multiplication_rows(f: IntPoly, g: IntPoly) -> list[int]:
+    """Packed rows x^j * g mod f over Z/8, j = 0..n-1, for monic f of degree n.
+
+    neg[c] is -c * f lane-wise mod 8, its lane n included: adding it to a
+    polynomial whose lane n holds c clears that lane, which is one step of
+    reduction mod f. g is reduced from its top lane down, then each row
+    is the previous one shifted up a lane and reduced the same way.
+    """
+    n = f.degree
+    cs = g.coeffs
+    full = _lane_mask(max(len(cs), n + 1), 7)
+    packed = _pack(f.coeffs)
+    neg = [packed * (-c % 8) & full for c in range(8)]
+    h = _pack(cs)
+    for k in range(len(cs) - 1, n - 1, -1):
+        c = h >> 8 * k & 7
+        if c:
+            h = (h + (neg[c] << 8 * (k - n))) & full
+    sevens = _lane_mask(n, 7)
+    top = 8 * n
+    rows = []
+    for _ in range(n):
+        rows.append(h)
+        h <<= 8
+        h = (h + neg[h >> top]) & sevens
+    return rows
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -330,30 +339,37 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     return det_exact(sylvester(f, g))
 
 
-def resultant_mod8(f: IntPoly, g: IntPoly) -> Residue8:
-    """Resultant reduced into 0..7."""
-    return det_mod8(sylvester(f, g))
+def resultant_mod8(f: IntPoly, g: IntPoly) -> int:
+    """Resultant of monic f and g reduced into 0..7.
+
+    For monic f of degree n this is the determinant of multiplication by
+    g on (Z/8)[x]/(f), so it does not depend on how far g is padded.
+    """
+    if f.is_zero or f.coeffs[-1] != 1:
+        raise ValueError("the mod-8 resultant needs a monic first argument")
+    if g.is_zero and g.declared_degree is None:
+        raise ValueError("zero second argument needs a declared degree")
+    return _det_mod8_packed(_multiplication_rows(f, g), f.degree)
+
+
+def _discriminant_degree(f: IntPoly) -> int:
+    n = f.degree if not f.is_zero else -1
+    if n < 2:
+        raise ValueError("discriminant needs degree at least 2")
+    if f.coeff(n) != 1:
+        raise ValueError("discriminant is implemented for monic polynomials")
+    return n
 
 
 def discriminant_int(f: IntPoly) -> int:
     """Discriminant of monic f, degree >= 2: (-1)^(n(n-1)/2) res(f, f')."""
-    n = f.degree if not f.is_zero else -1
-    if n < 2:
-        raise ValueError("discriminant needs degree at least 2")
-    if f.coeff(n) != 1:
-        raise ValueError("discriminant is implemented for monic polynomials")
+    n = _discriminant_degree(f)
     r = resultant(f, f.derivative())
     return -r if (n * (n - 1) // 2) % 2 else r
 
 
-def discriminant_mod8(f: IntPoly) -> Residue8:
+def discriminant_mod8(f: IntPoly) -> int:
     """Discriminant of monic f reduced into 0..7."""
-    n = f.degree if not f.is_zero else -1
-    if n < 2:
-        raise ValueError("discriminant needs degree at least 2")
-    if f.coeff(n) != 1:
-        raise ValueError("discriminant is implemented for monic polynomials")
-    r = det_mod8(sylvester(f, f.derivative())).value
-    if (n * (n - 1) // 2) % 2:
-        r = -r % 8
-    return Residue8(r)
+    n = _discriminant_degree(f)
+    r = resultant_mod8(f, f.derivative())
+    return -r % 8 if (n * (n - 1) // 2) % 2 else r

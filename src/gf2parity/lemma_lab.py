@@ -33,6 +33,7 @@ from pathlib import Path
 
 from . import intres
 from .intres import IntMatrix, IntPoly
+from .pool import map_in_pool, pool_size
 
 LEMMA_IDS = ("D", "L1a", "L1b", "L2", "GENERAL")
 
@@ -445,8 +446,10 @@ def run_fuzz(lemma_id: str, trials: int, campaign_seed: int, *,
              n: int | None = None, s: int | None = None, m: int | None = None,
              jobs: int = 1) -> FuzzResult:
     """Run a fuzz campaign; aborts at the first failed conclusion."""
-    if jobs > 1:
-        return _run_fuzz_parallel(lemma_id, trials, campaign_seed, n=n, s=s, m=m, jobs=jobs)
+    workers = pool_size(jobs, trials)
+    if workers > 1:
+        return _run_fuzz_parallel(lemma_id, trials, campaign_seed, n=n, s=s, m=m,
+                                  workers=workers)
     check = _CHECKERS[lemma_id]
     for index in range(trials):
         inst = build_instance(lemma_id, campaign_seed, index, n=n, s=s, m=m)
@@ -465,13 +468,10 @@ def _fuzz_chunk(args) -> tuple[int, int] | None:
     return None
 
 
-def _run_fuzz_parallel(lemma_id, trials, campaign_seed, *, n, s, m, jobs) -> FuzzResult:
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = [(trials * w // jobs, trials * (w + 1) // jobs) for w in range(jobs)]
-    tasks = [(lemma_id, campaign_seed, lo, hi, n, s, m) for lo, hi in bounds if lo < hi]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        hits = [h for h in pool.map(_fuzz_chunk, tasks) if h is not None]
+def _run_fuzz_parallel(lemma_id, trials, campaign_seed, *, n, s, m, workers) -> FuzzResult:
+    bounds = [(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
+    tasks = [(lemma_id, campaign_seed, lo, hi, n, s, m) for lo, hi in bounds]
+    hits = [h for h in map_in_pool(_fuzz_chunk, tasks, workers) if h is not None]
     if not hits:
         return FuzzResult(lemma_id, trials, trials, None)
     index = min(h[0] for h in hits)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from . import gf2poly
 from . import swan
 from .gf2poly import BitPoly
+from .pool import map_in_pool
 from .swan import EVEN, ODD
 
 _SHAPES = ("trinomial", "pentanomial", "any-support")
@@ -165,18 +166,8 @@ def _scan_one_degree(args) -> list[SearchRecord]:
 
 def scan(q: SearchQuery, *, full_check: bool = False, jobs: int = 1) -> list[SearchRecord]:
     """Classify every candidate of the query, in enumeration order."""
-    degrees = list(_degrees(q))
-    if jobs > 1 and len(degrees) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_scan_one_degree,
-                              [(q, n, full_check) for n in degrees])
-            return [rec for chunk in chunks for rec in chunk]
-    out = []
-    for n in degrees:
-        out.extend(_scan_one_degree((q, n, full_check)))
-    return out
+    chunks = map_in_pool(_scan_one_degree, [(q, n, full_check) for n in _degrees(q)], jobs)
+    return [rec for chunk in chunks for rec in chunk]
 
 
 class _SmallFactorScreen:
@@ -206,8 +197,10 @@ class _SmallFactorScreen:
 
     def finds_factor(self, f: BitPoly) -> bool:
         n = f.degree
+        if n <= 1:
+            return False  # constants and x, x+1 have no proper factor
         if not f.bits & 1:
-            return n >= 1  # x divides
+            return True  # x divides
         if f.weight() % 2 == 0:
             return True  # f(1) = 0, so x+1 divides
         exps = f.exponents
@@ -267,18 +260,19 @@ def _audit_one_degree(n: int) -> AuditRow:
     screen = _screen_for(n)
     q = SearchQuery(n_lo=n, n_hi=n, shape="any-support",
                     exponents="odd-only", m1_bound="below-n-over-3")
-    candidates = 0
-    hits = []
+    asserted = n % 8 in (3, 5)
+    candidates = hits = 0
+    violations = []
     for mids in _middle_tuples(q, n):
         candidates += 1
         f = BitPoly.from_exponents((n, *mids, 0))
         if _is_irreducible_screened(f, screen):
-            hits.append(str(f))
-    asserted = n % 8 in (3, 5)
-    violations = tuple(hits) if asserted else ()
+            hits += 1
+            if asserted:
+                violations.append(str(f))
     return AuditRow(n=n, n_mod_8=n % 8, asserted=asserted,
-                    candidates=candidates, irreducible=len(hits),
-                    violations=violations)
+                    candidates=candidates, irreducible=hits,
+                    violations=tuple(violations))
 
 
 _SCREENS: dict[int, _SmallFactorScreen] = {}
@@ -300,11 +294,4 @@ def corollary_audit(n_lo: int, n_hi: int, *, jobs: int = 1) -> AuditReport:
     reported without assertion.
     """
     degrees = [n for n in range(n_lo, n_hi + 1) if n % 2 and n >= 5]
-    if jobs > 1 and len(degrees) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_audit_one_degree, degrees))
-    else:
-        rows = [_audit_one_degree(n) for n in degrees]
-    return AuditReport(rows)
+    return AuditReport(map_in_pool(_audit_one_degree, degrees, jobs))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import gf2poly
 from . import intres
 from .gf2poly import BitPoly
-from .intres import IntPoly, Residue8
+from .intres import IntPoly
 
 ODD = "odd"
 EVEN = "even"
@@ -94,7 +94,7 @@ def stickelberger_parity(f: BitPoly) -> str:
     n = f.degree
     if n == 1:
         return ODD
-    d8 = intres.discriminant_mod8(lift_01(f)).value
+    d8 = intres.discriminant_mod8(lift_01(f))
     if d8 == 1:
         return ODD if n % 2 else EVEN
     if d8 == 5:
@@ -201,7 +201,7 @@ class ParityReport:
     squarefree: bool
     t_distinct: int
     t_multiplicity: int
-    disc_mod8: Residue8
+    disc_mod8: int
     predicted_parity: str
     observed_parity: str
     agree: bool
@@ -214,7 +214,7 @@ class ParityReport:
             "squarefree": self.squarefree,
             "t_distinct": self.t_distinct,
             "t_multiplicity": self.t_multiplicity,
-            "disc_mod8": self.disc_mod8.value,
+            "disc_mod8": self.disc_mod8,
             "predicted_parity": self.predicted_parity,
             "observed_parity": self.observed_parity,
             "agree": self.agree,
@@ -243,10 +243,10 @@ def verify_theorem_instance(n: int, support) -> ParityReport:
     decompose_G(G, n)  # malformed instances raise here
     failures: list[str] = []
     padded = IntPoly(G.coeffs, declared_degree=n - 4)
-    r8 = intres.resultant_mod8(F, padded).value
+    r8 = intres.resultant_mod8(F, padded)
     if r8 != 1:
         failures.append("resultant_unit")
-    d8 = intres.discriminant_mod8(F).value
+    d8 = intres.discriminant_mod8(F)
     sign = 7 if (n * (n - 1) // 2) % 2 else 1
     if pow(n, n, 8) * d8 % 8 != sign * r8 % 8:
         failures.append("determinant_bridge")
@@ -256,11 +256,12 @@ def verify_theorem_instance(n: int, support) -> ParityReport:
     if not squarefree:
         failures.append("squarefree")
     t = gf2poly.count_distinct_irreducible_factors(f)
-    tm = gf2poly.count_factors_with_multiplicity(f)
+    # a squarefree f has each factor once, so the two counts agree
+    tm = t if squarefree else gf2poly.count_factors_with_multiplicity(f)
     predicted = theorem_parity(n, support)
     observed = ODD if t % 2 else EVEN
     agree = predicted == observed and not failures
     return ParityReport(
         spec=spec, poly=f, squarefree=squarefree, t_distinct=t,
-        t_multiplicity=tm, disc_mod8=Residue8(d8), predicted_parity=predicted,
+        t_multiplicity=tm, disc_mod8=d8, predicted_parity=predicted,
         observed_parity=observed, agree=agree, failed_identities=tuple(failures))

@@ -149,6 +149,19 @@ def test_audit(capsys):
     assert rows[1]["n"] == 13 and rows[1]["irreducible"] == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("args", [
+    ["audit", "--n-lo", "5", "--n-hi", "9"],
+    ["search", "--n-lo", "5", "--n-hi", "9"],
+    ["lemma-fuzz", "--lemma", "d", "--trials", "5", "--seed", "1"],
+])
+def test_jobs_below_one_refused(capsys, args, jobs):
+    rc, out, err = run(capsys, [*args, "--jobs", jobs])
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 def test_lemma_fuzz_ok(capsys):
     rc, out, _ = run(capsys, ["lemma-fuzz", "--lemma", "l2",
                               "--trials", "50", "--seed", "9"])

@@ -1,6 +1,8 @@
 """Arithmetic, factor counting, and trace spectra against oracles."""
 
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -47,6 +49,16 @@ def test_parse_exponent_list():
 def test_parse_hex():
     assert P("0x200081") == P("x^21+x^7+1")
     assert P("0xb") == P("x^3+x+1")
+
+
+def test_parse_readme_forms():
+    # every form the README's parsing list names is accepted
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"Parsing \(([^)]*)\)", readme).group(1)
+    forms = re.findall(r"`([^`]+)`", listed)
+    assert forms
+    for text in forms:
+        assert P(text) == P("x^21+x^7+1"), text
 
 
 def test_parse_rejects_bad_tokens():

@@ -147,6 +147,36 @@ def test_det_mod8_even_determinants():
         assert int(det_mod8(m)) == det_exact(m) % 8
 
 
+def test_det_mod8_edge_shapes():
+    # no odd pivot at all, or an even minor left after the odd pivots run out
+    cases = [
+        [],
+        [[5]],
+        [[6]],
+        [[2, 0], [0, 2]],
+        [[2, 4], [6, 2]],
+        [[2, 2, 2], [2, 4, 6], [0, 2, 4]],
+        [[1, 3, 5, 7], [2, 1, 0, 4], [0, 0, 2, 2], [0, 0, 4, 6]],
+        [[0, 0, 2, 6], [3, 1, 5, 7], [0, 0, 6, 2], [1, 2, 4, 3]],
+        [[1, 0, 2], [0, 2, 0], [4, 0, 1]],
+    ]
+    for rows in cases:
+        m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ())
+        assert det_mod8(m) == det_exact(m) % 8, rows
+    assert det_mod8(IntMatrix.from_rows([[2, 0], [0, 2]])) == 4
+    rng = random.Random(71)
+    for _ in range(200):
+        size = rng.randint(1, 7)
+        odd = rng.randint(0, size)  # rows free to hold odd entries; the rest all even
+        rows = [[rng.randint(-9, 9) if i < odd else 2 * rng.randint(-4, 4)
+                 for _ in range(size)] for i in range(size)]
+        rng.shuffle(rows)
+        m = IntMatrix.from_rows(rows)
+        assert det_mod8(m) == det_exact(m) % 8, rows
+        if odd == 0 and size >= 3:
+            assert det_mod8(m) == 0
+
+
 # -- resultants ----------------------------------------------------------------
 
 def test_resultant_examples():
@@ -155,6 +185,32 @@ def test_resultant_examples():
     assert resultant(ip(-1, 0, 1), ip(-1, 1)) == 0
     assert int(resultant_mod8(ip(0, 1), ip(3, 0, 1))) == 3
     assert int(resultant_mod8(ip(1, 0, 1), ip(1, 1))) == 2
+
+
+def test_resultant_mod8_matches_exact():
+    rng = random.Random(73)
+    for _ in range(300):
+        f = rand_monic(rng, rng.randint(0, 6))
+        degree = rng.randint(0, 9)
+        g = IntPoly([rng.randint(-20, 20) for _ in range(degree + 1)],
+                    declared_degree=degree)
+        assert resultant_mod8(f, g) == resultant(f, g) % 8, (f, g)
+
+
+def test_resultant_mod8_edge_cases():
+    assert resultant_mod8(ip(1), ip(3, 0, 1)) == 1  # deg f = 0
+    assert resultant_mod8(ip(1), IntPoly([], declared_degree=2)) == 1
+    assert resultant_mod8(ip(1, 0, 1), IntPoly([], declared_degree=1)) == 0
+    assert resultant_mod8(ip(3, -2, 0, 1), IntPoly([], declared_degree=2)) == 0
+    with pytest.raises(ValueError):
+        resultant_mod8(ip(1, 1), IntPoly([]))  # zero g needs a declared degree
+
+
+def test_resultant_mod8_refuses_non_monic_f():
+    for f in (ip(1, 0, 2), ip(1, 1, -1), ip(3), IntPoly([])):
+        with pytest.raises(ValueError, match="monic"):
+            resultant_mod8(f, ip(1, 1))
+    assert resultant(ip(1, 0, 2), ip(1, 1)) == 3  # the exact path takes any f
 
 
 def test_r1_reduction_invariance():
@@ -231,3 +287,17 @@ def test_squarefree_lift_discriminant_in_1_5():
         f = BitPoly(bits)
         assert is_squarefree(f)
         assert int(discriminant_mod8(lift_01(f))) in (1, 5)
+
+
+def test_discriminant_mod8_matches_sympy_above_oracle_cap():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(79)
+    checked = 0
+    while checked < 20:
+        f = BitPoly(helpers.random_bits(rng, rng.randint(13, 40)))
+        if not is_squarefree(f):
+            continue
+        F = sympy.Poly(sum(x ** e for e in f.exponents), x)
+        assert discriminant_mod8(lift_01(f)) == sympy.discriminant(F) % 8, str(f)
+        checked += 1

@@ -214,6 +214,12 @@ def test_run_fuzz_deterministic():
     assert a.ok == b.ok and a.checked == b.checked
 
 
+def test_run_fuzz_parallel_matches_serial():
+    a = run_fuzz("GENERAL", 30, 31)
+    b = run_fuzz("GENERAL", 30, 31, jobs=2)
+    assert (a.ok, a.checked) == (b.ok, b.checked) == (True, 30)
+
+
 def test_run_fuzz_pinned_parameters():
     result = run_fuzz("L1a", 40, 37, n=8, s=2)
     assert result.ok

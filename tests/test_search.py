@@ -11,9 +11,11 @@ from gf2parity.gf2poly import (
     parse_poly,
     trace_spectrum,
 )
+from gf2parity.pool import pool_size
 from gf2parity.search import (
     SearchQuery,
     _SmallFactorScreen,
+    _is_irreducible_screened,
     corollary_audit,
     enumerate_candidates,
     scan,
@@ -175,6 +177,14 @@ def test_screen_exhaustive_small_trinomials():
                 assert not is_irreducible(f), (n, m)
 
 
+def test_screened_test_agrees_on_degree_one():
+    screen = _SmallFactorScreen(8, 64)
+    for text in ("x", "x+1"):
+        f = parse_poly(text)
+        assert not screen.finds_factor(f), text
+        assert is_irreducible(f) and _is_irreducible_screened(f, screen), text
+
+
 # -- corollary audit ---------------------------------------------------------------
 
 def test_audit_example_degrees():
@@ -214,3 +224,17 @@ def test_audit_parallel_matches_serial():
     a = corollary_audit(5, 41)
     b = corollary_audit(5, 41, jobs=2)
     assert [r.to_json_line() for r in a.rows] == [r.to_json_line() for r in b.rows]
+
+
+def test_pool_size_clamps(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert pool_size(1, 10) == 1
+    assert pool_size(3, 10) == 3
+    assert pool_size(64, 10) == 4  # CPU count
+    assert pool_size(64, 2) == 2  # task count
+    assert pool_size(2, 0) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert pool_size(8, 10) == 1
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            pool_size(jobs, 10)
