@@ -240,11 +240,6 @@ def format_poly(f: BitPoly) -> str:
     return "+".join(terms)
 
 
-def mul(f: BitPoly, g: BitPoly) -> BitPoly:
-    """Product in F2[x]."""
-    return f * g
-
-
 def rem(f: BitPoly, g: BitPoly) -> BitPoly:
     """Remainder of f modulo g; g must be nonzero."""
     return f % g

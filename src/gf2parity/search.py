@@ -11,13 +11,25 @@ forces the full computation and cross-checks the shortcut.
 
 The audit enumerates, for odd n in a range, every candidate whose middle
 exponents are all odd and below n/3. For n = +-3 mod 8 it asserts that
-none is irreducible; for n = +-1 mod 8 it only reports how many are.
+none is irreducible; for n = +-1 mod 8 it only reports how many are. It
+walks the subsets of those exponents in Gray-code order (Knuth, TAOCP 4A,
+7.2.1.1), so each step flips one exponent: one xor into the coefficient
+mask and one into the residues of the candidate modulo every irreducible
+of degree 2..8, packed one 8-bit lane per divisor in a single int. A
+candidate of even weight (x + 1 divides) or with a zero lane is reducible;
+only the rest become BitPoly values and reach the exact Berlekamp test.
+Violations are reported in the enumeration order above.
+
+Scan and audit refuse, before any work, a degree with more than
+MAX_CANDIDATES_PER_DEGREE candidates.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from . import gf2poly
@@ -29,6 +41,9 @@ from .swan import EVEN, ODD
 _SHAPES = ("trinomial", "pentanomial", "any-support")
 _EXPONENT_FILTERS = ("all", "odd-only")
 _M1_BOUNDS = ("none", "below-n-over-3", "at-least-n-over-3")
+
+# scan and audit refuse a degree with more candidates than this (audit: n <= 123)
+MAX_CANDIDATES_PER_DEGREE = 2**20 - 1
 
 
 @dataclass(frozen=True)
@@ -130,6 +145,25 @@ def _middle_tuples(q: SearchQuery, n: int):
             yield mids
 
 
+def _candidate_count(q: SearchQuery, n: int) -> int:
+    """len(list(_middle_tuples(q, n))), without enumerating."""
+    pool = _middle_pool(q, n)
+    k = len(pool)
+    # the largest exponent m1 leads each tuple, and the m1 that pass lead the pool
+    rest = k - sum(1 for m in pool if _m1_passes(q, n, m))
+    if q.shape == "trinomial":
+        return k - rest
+    if q.shape == "pentanomial":
+        return math.comb(k, 3) - math.comb(rest, 3)
+    return 2**k - 2**rest
+
+
+def _check_size(n: int, candidates: int) -> None:
+    if candidates > MAX_CANDIDATES_PER_DEGREE:
+        raise ValueError(f"degree {n} has {candidates} candidates, more than the "
+                         f"{MAX_CANDIDATES_PER_DEGREE} allowed per degree")
+
+
 def enumerate_candidates(q: SearchQuery):
     """Deterministic stream of candidate polynomials for the query."""
     for n in _degrees(q):
@@ -166,59 +200,10 @@ def _scan_one_degree(args) -> list[SearchRecord]:
 
 def scan(q: SearchQuery, *, full_check: bool = False, jobs: int = 1) -> list[SearchRecord]:
     """Classify every candidate of the query, in enumeration order."""
+    for n in _degrees(q):
+        _check_size(n, _candidate_count(q, n))
     chunks = map_in_pool(_scan_one_degree, [(q, n, full_check) for n in _degrees(q)], jobs)
     return [rec for chunk in chunks for rec in chunk]
-
-
-class _SmallFactorScreen:
-    """Cheap reducibility witnesses: divisibility by low-degree irreducibles.
-
-    For every irreducible q with q(0) = 1 the residue x^e mod q is
-    precomputed for all needed e, so testing q | f is a handful of xors
-    over the exponents of f. Finding a divisor of degree <= deg(f)/2 is
-    an exact proof of reducibility; the screen never claims the converse.
-    """
-
-    def __init__(self, max_degree: int, max_exponent: int):
-        self.tables = []
-        for q in gf2poly.irreducibles(max_degree):
-            d = q.degree
-            if d < 2:
-                continue  # x and x+1 are handled by constant term and weight
-            qb = q.bits
-            pows = [1]
-            cur = 1
-            for _ in range(max_exponent):
-                cur <<= 1
-                if cur.bit_length() - 1 == d:
-                    cur ^= qb
-                pows.append(cur)
-            self.tables.append((d, pows))
-
-    def finds_factor(self, f: BitPoly) -> bool:
-        n = f.degree
-        if n <= 1:
-            return False  # constants and x, x+1 have no proper factor
-        if not f.bits & 1:
-            return True  # x divides
-        if f.weight() % 2 == 0:
-            return True  # f(1) = 0, so x+1 divides
-        exps = f.exponents
-        for d, pows in self.tables:
-            if 2 * d > n:
-                break
-            acc = 0
-            for e in exps:
-                acc ^= pows[e]
-            if acc == 0:
-                return True
-        return False
-
-
-def _is_irreducible_screened(f: BitPoly, screen: _SmallFactorScreen) -> bool:
-    if screen.finds_factor(f):
-        return False
-    return gf2poly.is_irreducible(f)
 
 
 @dataclass(frozen=True)
@@ -256,34 +241,97 @@ class AuditReport:
         return sum(r.candidates for r in self.rows)
 
 
-def _audit_one_degree(n: int) -> AuditRow:
-    screen = _screen_for(n)
-    q = SearchQuery(n_lo=n, n_hi=n, shape="any-support",
-                    exponents="odd-only", m1_bound="below-n-over-3")
-    asserted = n % 8 in (3, 5)
-    candidates = hits = 0
-    violations = []
-    for mids in _middle_tuples(q, n):
-        candidates += 1
-        f = BitPoly.from_exponents((n, *mids, 0))
-        if _is_irreducible_screened(f, screen):
-            hits += 1
-            if asserted:
-                violations.append(str(f))
-    return AuditRow(n=n, n_mod_8=n % 8, asserted=asserted,
-                    candidates=candidates, irreducible=hits,
-                    violations=tuple(violations))
+class _LaneScreen:
+    """Residues x^e mod q for every irreducible q of degree 2..8, one byte each.
+
+    powers[e] holds x^e mod q_i in lane i (bits 8i..8i+7), shifted up by
+    8 - deg q_i so that its top bit is the coefficient of x^(deg q_i - 1);
+    the 69 q are in ascending degree. The residues of f modulo all of them
+    are the xor of powers[e] over the exponents e of f, and q_i divides f
+    exactly when lane i is zero. A divisor of degree below deg f is an
+    exact proof of reducibility; the screen never claims the converse.
+    """
+
+    def __init__(self, max_exponent: int):
+        qs = [q.bits for q in gf2poly.irreducibles(8) if q.degree >= 2]
+        self.degrees = [q.bit_length() - 1 for q in qs]
+        ones = int.from_bytes(bytes([1] * len(qs)), "little")
+        # each q_i less its leading term, aligned like the residues
+        tails = int.from_bytes(
+            bytes(q << (8 - d) & 0xFF for q, d in zip(qs, self.degrees)), "little")
+        cur = int.from_bytes(bytes(1 << (8 - d) for d in self.degrees), "little")
+        self.powers = [cur]
+        for _ in range(max_exponent):
+            # times x in every lane at once; a top bit shifted out is x^deg q_i,
+            # which reduces to the tail of q_i
+            carries = (cur >> 7) & ones
+            cur = ((cur & ones * 0x7F) << 1) ^ (tails & carries * 0xFF)
+            self.powers.append(cur)
+
+    def lanes(self, n: int) -> tuple[int, int, int]:
+        """Masks of the lanes whose q has degree below n: all bits, low 7, top bit."""
+        count = bisect.bisect_left(self.degrees, n)
+        return ((1 << 8 * count) - 1,
+                int.from_bytes(b"\x7f" * count, "little"),
+                int.from_bytes(b"\x80" * count, "little"))
 
 
-_SCREENS: dict[int, _SmallFactorScreen] = {}
+def _no_zero_lane(res: int, low7: int, high: int) -> bool:
+    # adding 0x7f to a lane's low seven bits carries into its top bit unless
+    # they are all zero, and never out of the lane
+    return (((res & low7) + low7) | res) & high == high
 
 
-def _screen_for(n: int) -> _SmallFactorScreen:
+_SCREENS: dict[int, _LaneScreen] = {}
+
+
+def _screen_for(n: int) -> _LaneScreen:
     # one shared table per exponent ceiling, built on demand
     cap = 1 << max(n.bit_length(), 7)
     if cap not in _SCREENS:
-        _SCREENS[cap] = _SmallFactorScreen(8, cap)
+        _SCREENS[cap] = _LaneScreen(cap)
     return _SCREENS[cap]
+
+
+def _audit_pool(n: int) -> range:
+    """The odd m with 3m < n, ascending."""
+    return range(1, (n - 1) // 3 + 1, 2)
+
+
+def _audit_one_degree(n: int) -> AuditRow:
+    screen = _screen_for(n)
+    lanes, low7, high = screen.lanes(n)
+    pool = _audit_pool(n)
+    flip_f = [1 << m for m in pool]
+    flip_r = [screen.powers[m] & lanes for m in pool]
+    # Gray-code walk over the nonempty subsets S of the pool: step j flips
+    # pool index (j & -j).bit_length() - 1 in fbits and in the residues res.
+    # The weight 2 + |S| is odd exactly after odd steps (x + 1 divides after
+    # even ones), and odd steps all flip index 0, so the walk goes in pairs:
+    # pair i is step 2i, flipping index (i & -i).bit_length() (none for
+    # i = 0), then step 2i + 1, and only its result is tested.
+    pair_f = [flip_f[0]] + [b ^ flip_f[0] for b in flip_f[1:]]
+    pair_r = [flip_r[0]] + [r ^ flip_r[0] for r in flip_r[1:]]
+    fbits = (1 << n) | 1
+    res = (screen.powers[n] ^ screen.powers[0]) & lanes
+    asserted = n % 8 in (3, 5)
+    hits = 0
+    found = []
+    for i in range(1 << (len(pool) - 1)):
+        b = (i & -i).bit_length()
+        fbits ^= pair_f[b]
+        res ^= pair_r[b]
+        if _no_zero_lane(res, low7, high):
+            f = BitPoly(fbits)
+            if gf2poly.is_irreducible(f):
+                hits += 1
+                if asserted:
+                    found.append(f)
+    # subset size, then descending lexicographic, as _middle_tuples yields them
+    found.sort(key=lambda f: (f.weight(), [-e for e in f.exponents]))
+    return AuditRow(n=n, n_mod_8=n % 8, asserted=asserted,
+                    candidates=(1 << len(pool)) - 1, irreducible=hits,
+                    violations=tuple(map(str, found)))
 
 
 def corollary_audit(n_lo: int, n_hi: int, *, jobs: int = 1) -> AuditReport:
@@ -294,4 +342,6 @@ def corollary_audit(n_lo: int, n_hi: int, *, jobs: int = 1) -> AuditReport:
     reported without assertion.
     """
     degrees = [n for n in range(n_lo, n_hi + 1) if n % 2 and n >= 5]
+    for n in degrees:
+        _check_size(n, (1 << len(_audit_pool(n))) - 1)
     return AuditReport(map_in_pool(_audit_one_degree, degrees, jobs))

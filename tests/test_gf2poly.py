@@ -281,3 +281,26 @@ def test_am_equivalence_exhaustive():
             continue
         single = len(trace_spectrum(q).ones()) == 1
         assert single == am_condition(q), str(q)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_factor_counts_match_sympy_above_oracle_cap():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(83)
+    repeated = 0
+    for trial in range(30):
+        if trial % 3 == 0:
+            # g * h^2, so multiplicities above one occur
+            h = helpers.random_bits(rng, rng.randint(1, 10))
+            g = helpers.random_bits(rng, rng.randint(13, 40))
+            bits = helpers.o_mul(g, helpers.o_mul(h, h))
+        else:
+            bits = helpers.random_bits(rng, rng.randint(13, 60))
+        f = BitPoly(bits)
+        _, factors = sympy.factor_list(sum(x ** e for e in f.exponents), x, modulus=2)
+        assert count_distinct_irreducible_factors(f) == len(factors), str(f)
+        total = sum(int(m) for _, m in factors)
+        assert count_factors_with_multiplicity(f) == total, str(f)
+        repeated += total > len(factors)
+    assert repeated >= 10

@@ -2,9 +2,11 @@
 
 import json
 import random
+import time
 
 import pytest
 
+from gf2parity import cli, gf2poly
 from gf2parity.gf2poly import (
     BitPoly,
     is_irreducible,
@@ -13,9 +15,13 @@ from gf2parity.gf2poly import (
 )
 from gf2parity.pool import pool_size
 from gf2parity.search import (
+    MAX_CANDIDATES_PER_DEGREE,
     SearchQuery,
-    _SmallFactorScreen,
-    _is_irreducible_screened,
+    _LaneScreen,
+    _audit_pool,
+    _candidate_count,
+    _middle_tuples,
+    _no_zero_lane,
     corollary_audit,
     enumerate_candidates,
     scan,
@@ -157,32 +163,93 @@ def test_scan_parallel_matches_serial():
 
 # -- screening -------------------------------------------------------------------
 
+SMALL_Q = [q for q in helpers.o_irreducibles(8) if q.bit_length() - 1 >= 2]
+
+
+def _residue(screen, f: BitPoly) -> int:
+    res = 0
+    for e in f.exponents:
+        res ^= screen.powers[e]
+    return res
+
+
+def _zero_lane(screen, f: BitPoly) -> bool:
+    lanes, low7, high = screen.lanes(f.degree)
+    return not _no_zero_lane(_residue(screen, f) & lanes, low7, high)
+
+
+def test_no_zero_lane_is_exact_per_lane():
+    for a in range(256):
+        for b in range(256):
+            res = a | b << 8
+            assert _no_zero_lane(res, 0x7F7F, 0x8080) == (a != 0 and b != 0), (a, b)
+    # residues with the top bit set, or all bits set, beside zero lanes
+    for lanes in ([0x80, 0x00, 0xFF], [0x00, 0x80], [0xFF, 0x00], [0x80, 0xFF, 0x01],
+                  [0xFF] * 68 + [0x00], [0x00] + [0x80] * 68, [0xFF, 0x80] * 34 + [0x7F]):
+        res = int.from_bytes(bytes(lanes), "little")
+        low7 = int.from_bytes(b"\x7f" * len(lanes), "little")
+        high = int.from_bytes(b"\x80" * len(lanes), "little")
+        assert _no_zero_lane(res, low7, high) == (0 not in lanes), lanes
+
+
+def test_lane_screen_matches_trial_division():
+    screen = _LaneScreen(128)
+    assert screen.degrees == [q.bit_length() - 1 for q in SMALL_Q]
+    assert len(SMALL_Q) == 69
+    rng = random.Random(97)
+    zero_seen = 0
+    for trial in range(300):
+        n = rng.randint(2, 127)
+        bits = helpers.random_bits(rng, n)
+        if trial % 3 == 0 and n > 8:
+            # force a small divisor into a third of the samples
+            q = rng.choice(SMALL_Q)
+            bits = helpers.o_mul(helpers.random_bits(rng, n - q.bit_length() + 1), q)
+        f = BitPoly(bits)
+        lanes, low7, high = screen.lanes(f.degree)
+        res = _residue(screen, f) & lanes
+        divides = False
+        for i, q in enumerate(SMALL_Q):
+            # lane i holds f mod q_i shifted up by 8 - deg q_i; lanes of q
+            # with deg q >= deg f are masked off
+            d = q.bit_length() - 1
+            in_use = d < f.degree
+            rem = helpers.o_divmod(bits, q)[1]
+            assert lanes >> 8 * i & 0xFF == (0xFF if in_use else 0)
+            assert res >> 8 * i & 0xFF == (rem << (8 - d) if in_use else 0), (hex(bits), i)
+            divides = divides or (in_use and rem == 0)
+        assert _no_zero_lane(res, low7, high) == (not divides), hex(bits)
+        zero_seen += divides
+    assert 100 <= zero_seen < 300
+
+
 def test_screen_agrees_with_full_test():
-    screen = _SmallFactorScreen(8, 64)
+    screen = _LaneScreen(64)
     rng = random.Random(89)
     for _ in range(400):
         bits = helpers.random_bits(rng, rng.randrange(2, 40))
         f = BitPoly(bits)
-        if screen.finds_factor(f):
+        if _zero_lane(screen, f):
             assert not is_irreducible(f), hex(bits)
 
 
 def test_screen_exhaustive_small_trinomials():
-    screen = _SmallFactorScreen(8, 64)
+    screen = _LaneScreen(64)
     for n in range(4, 20):
         for m in range(1, n):
             f = BitPoly.from_exponents((n, m, 0))
-            survived = not screen.finds_factor(f)
+            survived = not _zero_lane(screen, f)
             if not survived:
                 assert not is_irreducible(f), (n, m)
 
 
 def test_screened_test_agrees_on_degree_one():
-    screen = _SmallFactorScreen(8, 64)
+    screen = _LaneScreen(64)
     for text in ("x", "x+1"):
         f = parse_poly(text)
-        assert not screen.finds_factor(f), text
-        assert is_irreducible(f) and _is_irreducible_screened(f, screen), text
+        assert screen.lanes(f.degree)[0] == 0, text
+        assert not _zero_lane(screen, f), text
+        assert is_irreducible(f), text
 
 
 # -- corollary audit ---------------------------------------------------------------
@@ -207,7 +274,7 @@ def test_audit_reporting_arm_n7():
 
 
 def test_audit_counts_match_direct_enumeration():
-    rep = corollary_audit(5, 35)
+    rep = corollary_audit(5, 41)
     for row in rep.rows:
         pool = [i for i in range(1, row.n) if i % 2 and 3 * i < row.n]
         assert row.candidates == 2 ** len(pool) - 1
@@ -220,10 +287,67 @@ def test_audit_counts_match_direct_enumeration():
         assert row.irreducible == direct, row.n
 
 
+def test_audit_violations_in_enumeration_order(monkeypatch):
+    # every screen survivor counts as irreducible, so the asserted degrees
+    # report all of them, and the order must be that of _middle_tuples
+    monkeypatch.setattr(gf2poly, "is_irreducible", lambda f: True)
+    reported = 0
+    for n in (19, 27, 43, 53):
+        q = SearchQuery(n_lo=n, n_hi=n, shape="any-support", exponents="odd-only",
+                        m1_bound="below-n-over-3")
+        want = []
+        for mids in _middle_tuples(q, n):
+            bits = BitPoly.from_exponents((n, *mids, 0)).bits
+            if len(mids) % 2 == 0:
+                continue  # even weight: x + 1 divides
+            if any(q.bit_length() - 1 < n and helpers.o_divmod(bits, q)[1] == 0
+                   for q in SMALL_Q):
+                continue
+            want.append(str(BitPoly(bits)))
+        row = corollary_audit(n, n).rows[0]
+        assert row.asserted
+        assert row.violations == tuple(want), n
+        assert row.irreducible == len(want)
+        reported += len(want)
+    assert reported == 0 + 2 + 17 + 68
+
+
 def test_audit_parallel_matches_serial():
     a = corollary_audit(5, 41)
     b = corollary_audit(5, 41, jobs=2)
     assert [r.to_json_line() for r in a.rows] == [r.to_json_line() for r in b.rows]
+
+
+def test_candidate_count_matches_enumeration():
+    for shape in ("trinomial", "pentanomial", "any-support"):
+        for exponents in ("all", "odd-only"):
+            for m1 in ("none", "below-n-over-3", "at-least-n-over-3"):
+                for n in range(1, 16):
+                    q = SearchQuery(n_lo=n, n_hi=n, shape=shape, exponents=exponents,
+                                    m1_bound=m1)
+                    assert _candidate_count(q, n) == sum(1 for _ in _middle_tuples(q, n))
+
+
+def test_candidate_bound():
+    assert (1 << len(_audit_pool(123))) - 1 == MAX_CANDIDATES_PER_DEGREE
+    assert (1 << len(_audit_pool(125))) - 1 > MAX_CANDIDATES_PER_DEGREE
+    with pytest.raises(ValueError, match="candidates"):
+        corollary_audit(5, 125)
+    with pytest.raises(ValueError, match="candidates"):
+        scan(SearchQuery(n_lo=5, n_hi=301, shape="any-support"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--n-lo", "5", "--n-hi", "301"],
+    ["search", "--n-lo", "5", "--n-hi", "301", "--shape", "any-support"],
+])
+def test_cli_refuses_oversized_degrees(argv, capsys):
+    start = time.monotonic()
+    assert cli.main(argv) == 1
+    assert time.monotonic() - start < 5.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: degree ") and "candidates" in err
 
 
 def test_pool_size_clamps(monkeypatch):
