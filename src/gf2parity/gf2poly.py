@@ -16,6 +16,12 @@ import functools
 from dataclasses import dataclass
 
 
+# the highest degree accepted from text (parse_poly, swan.parse_support_spec,
+# search.SearchQuery); the exact disc of a degree-511 input takes about
+# 40 s, eight times as long as at degree 255 (README)
+MAX_DEGREE = 511
+
+
 class PolyParseError(ValueError):
     """Polynomial text could not be parsed; the message names the bad token."""
 
@@ -181,12 +187,20 @@ def parse_poly(text: str) -> BitPoly:
         raise PolyParseError("empty polynomial text")
     if s[:2].lower() == "0x":
         try:
-            return BitPoly(int(s, 16))
+            bits = int(s, 16)
         except ValueError:
             raise PolyParseError(f"bad hexadecimal literal '{s}'") from None
+        check_degree(bits.bit_length() - 1)
+        return BitPoly(bits)
     if "x" in s or s in ("0", "1"):
         return _parse_symbolic(s)
     return _parse_exponent_list(s)
+
+
+def check_degree(e: int) -> None:
+    """Refuse a degree or exponent above MAX_DEGREE, before anything is built from it."""
+    if e > MAX_DEGREE:
+        raise PolyParseError(f"degree {e} is above the maximum of {MAX_DEGREE}")
 
 
 def _parse_symbolic(s: str) -> BitPoly:
@@ -205,6 +219,7 @@ def _parse_symbolic(s: str) -> BitPoly:
                 raise PolyParseError(f"bad term '{term}'") from None
             if e < 0:
                 raise PolyParseError(f"negative exponent in term '{term}'")
+            check_degree(e)
         else:
             raise PolyParseError(f"bad term '{term}'")
         if bits >> e & 1:
@@ -223,6 +238,7 @@ def _parse_exponent_list(s: str) -> BitPoly:
             raise PolyParseError(f"bad exponent '{token}'") from None
         if e < 0:
             raise PolyParseError(f"negative exponent '{token}'")
+        check_degree(e)
         if prev is not None and e >= prev:
             raise PolyParseError(f"exponent '{token}' breaks strictly descending order")
         prev = e

@@ -13,12 +13,14 @@ The audit enumerates, for odd n in a range, every candidate whose middle
 exponents are all odd and below n/3. For n = +-3 mod 8 it asserts that
 none is irreducible; for n = +-1 mod 8 it only reports how many are. It
 walks the subsets of those exponents in Gray-code order (Knuth, TAOCP 4A,
-7.2.1.1), so each step flips one exponent: one xor into the coefficient
-mask and one into the residues of the candidate modulo every irreducible
-of degree 2..8, packed one 8-bit lane per divisor in a single int. A
-candidate of even weight (x + 1 divides) or with a zero lane is reducible;
-only the rest become BitPoly values and reach the exact Berlekamp test.
-Violations are reported in the enumeration order above.
+7.2.1.1), so each step flips one exponent: one xor into the residues of
+the candidate modulo every irreducible of degree 2..8, packed one 8-bit
+lane per divisor in a single int. A candidate of even weight (x + 1
+divides) or with a zero lane is reducible. The rest are decided together
+by one Rabin test (Rabin, SIAM J. Comput. 1980) per degree, bitsliced
+with one candidate per bit of a Python int (Biham, FSE 1997); for these
+candidates and degrees it is exact. Violations are reported in the
+enumeration order above.
 
 Scan and audit refuse, before any work, a degree with more than
 MAX_CANDIDATES_PER_DEGREE candidates.
@@ -30,6 +32,8 @@ import bisect
 import itertools
 import json
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 
 from . import gf2poly
@@ -62,6 +66,7 @@ class SearchQuery:
             raise ValueError("empty degree range")
         if self.n_lo < 1:
             raise ValueError("degrees start at 1")
+        gf2poly.check_degree(self.n_hi)
         if self.shape not in _SHAPES:
             raise ValueError(f"shape must be one of {_SHAPES}")
         if self.exponents not in _EXPONENT_FILTERS:
@@ -298,39 +303,111 @@ def _audit_pool(n: int) -> range:
     return range(1, (n - 1) // 3 + 1, 2)
 
 
-def _audit_one_degree(n: int) -> AuditRow:
+def _audit_survivors(n: int) -> array:
+    """Subsets of _audit_pool(n) whose candidate passes the screen, in walk order.
+
+    Each is a code whose bit t is set when the candidate has x^m for the
+    t-th pool exponent m.
+    """
     screen = _screen_for(n)
     lanes, low7, high = screen.lanes(n)
-    pool = _audit_pool(n)
-    flip_f = [1 << m for m in pool]
-    flip_r = [screen.powers[m] & lanes for m in pool]
+    flip = [screen.powers[m] & lanes for m in _audit_pool(n)]
     # Gray-code walk over the nonempty subsets S of the pool: step j flips
-    # pool index (j & -j).bit_length() - 1 in fbits and in the residues res.
-    # The weight 2 + |S| is odd exactly after odd steps (x + 1 divides after
-    # even ones), and odd steps all flip index 0, so the walk goes in pairs:
-    # pair i is step 2i, flipping index (i & -i).bit_length() (none for
-    # i = 0), then step 2i + 1, and only its result is tested.
-    pair_f = [flip_f[0]] + [b ^ flip_f[0] for b in flip_f[1:]]
-    pair_r = [flip_r[0]] + [r ^ flip_r[0] for r in flip_r[1:]]
-    fbits = (1 << n) | 1
+    # pool index (j & -j).bit_length() - 1 in the residues res, and leaves
+    # the subset with code j ^ (j >> 1). The weight 2 + |S| is odd exactly
+    # after odd steps (x + 1 divides after even ones), and odd steps all
+    # flip index 0, so the walk goes in pairs: pair i is step 2i, flipping
+    # index (i & -i).bit_length() (none for i = 0), then step 2i + 1, and
+    # only its result is tested.
+    pair = [flip[0]] + [r ^ flip[0] for r in flip[1:]]
     res = (screen.powers[n] ^ screen.powers[0]) & lanes
-    asserted = n % 8 in (3, 5)
-    hits = 0
-    found = []
-    for i in range(1 << (len(pool) - 1)):
-        b = (i & -i).bit_length()
-        fbits ^= pair_f[b]
-        res ^= pair_r[b]
+    codes = array("I")
+    for i in range(1 << (len(flip) - 1)):
+        res ^= pair[(i & -i).bit_length()]
         if _no_zero_lane(res, low7, high):
-            f = BitPoly(fbits)
-            if gf2poly.is_irreducible(f):
-                hits += 1
-                if asserted:
-                    found.append(f)
+            codes.append((2 * i + 1) ^ i)
+    return codes
+
+
+# _BIT[b] maps a byte to b"1" when its bit b is set and to b"0" otherwise:
+# over bytes 0..255, bit b runs 2^b zeros then 2^b ones, repeated
+_BIT = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def _frobenius_irreducible(n: int, pool, codes: array) -> int:
+    """Bit c is set when f_c = x^n + sum of x^m over subset codes[c] + 1 is irreducible.
+
+    Rabin's test (Rabin, SIAM J. Comput. 1980) on every f_c at once, one
+    f_c per bit of a Python int (bitslicing; Biham, FSE 1997): bit c of
+    a[i] is the coefficient of x^i in x^(2^s) mod f_c after s squarings.
+    f_c passes when x^(2^n) = x and x^(2^(n/p)) != x for every prime
+    p | n. That is exact only for the audit's survivors; see
+    _audit_one_degree. n and the pool exponents must be odd.
+    """
+    if not codes:
+        return 0
+    raw, width = codes.tobytes(), codes.itemsize
+    masks = []
+    for t, m in enumerate(pool):
+        # byte t // 8 of every code, last survivor first, read as binary
+        at = t >> 3 if sys.byteorder == "little" else width - 1 - (t >> 3)
+        masks.append((m, int(raw[at::width][::-1].translate(_BIT[t & 7]), 2)))
+    checks = {n // p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
+    a = [0] * n
+    a[1] = (1 << len(codes)) - 1
+    early = 0
+    for step in range(1, n + 1):
+        # squaring moves x^i to x^2i; x^k for k >= n is x^(k-n) times
+        # x^n = 1 + the middle terms of f_c. With n and every m odd, only
+        # even k >= n ever hold a term.
+        b = [0] * (2 * n - 1)
+        b[::2] = a
+        for k in range(2 * n - 2, n, -2):
+            v = b[k]
+            if v:
+                b[k - n] ^= v
+                for m, p in masks:
+                    b[k - n + m] ^= v & p
+        del b[n:]
+        a = b
+        if step in checks:
+            early |= _equals_x(a)
+    return _equals_x(a) & ~early
+
+
+def _equals_x(a: list[int]) -> int:
+    """Bits c where the bitsliced residue a is exactly x."""
+    rest = a[0]
+    for v in a[2:]:
+        rest |= v
+    return a[1] & ~rest
+
+
+def _audit_one_degree(n: int) -> AuditRow:
+    # The Frobenius verdict needs no Berlekamp step. A survivor has
+    # constant term 1, odd weight and no factor of degree 2..8, so every
+    # factor has degree 9 or more. A survivor with x^(2^n) = x is
+    # squarefree and each factor degree divides n; a reducible one splits
+    # into degrees d | n with 9 <= d < n. If their lcm L is below n, L
+    # divides n/p for some prime p | n, so x^(2^(n/p)) = x and the test
+    # rejects it. An lcm of exactly n from such degrees summing to n first
+    # occurs at odd n = 135 (9 + 9 + 27 + 45 + 45); MAX_CANDIDATES_PER_DEGREE
+    # stops the audit at n = 123, so every verdict is exact.
+    pool = _audit_pool(n)
+    codes = _audit_survivors(n)
+    irreducible = _frobenius_irreducible(n, pool, codes)
+    asserted = n % 8 in (3, 5)
+    found = []
+    if asserted:
+        flags = format(irreducible, f"0{len(codes)}b")[::-1]
+        for code, flag in zip(codes, flags):
+            if flag == "1":
+                mids = [m for t, m in enumerate(pool) if code >> t & 1]
+                found.append(BitPoly.from_exponents((n, *mids, 0)))
     # subset size, then descending lexicographic, as _middle_tuples yields them
     found.sort(key=lambda f: (f.weight(), [-e for e in f.exponents]))
     return AuditRow(n=n, n_mod_8=n % 8, asserted=asserted,
-                    candidates=(1 << len(pool)) - 1, irreducible=hits,
+                    candidates=(1 << len(pool)) - 1, irreducible=irreducible.bit_count(),
                     violations=tuple(map(str, found)))
 
 
@@ -341,7 +418,7 @@ def corollary_audit(n_lo: int, n_hi: int, *, jobs: int = 1) -> AuditReport:
     any hit is recorded as a violation. Degrees with n = +-1 mod 8 are
     reported without assertion.
     """
-    degrees = [n for n in range(n_lo, n_hi + 1) if n % 2 and n >= 5]
+    degrees = range(max(n_lo, 5) | 1, n_hi + 1, 2)
     for n in degrees:
         _check_size(n, (1 << len(_audit_pool(n))) - 1)
     return AuditReport(map_in_pool(_audit_one_degree, degrees, jobs))

@@ -189,6 +189,7 @@ def parse_support_spec(text: str) -> SupportSpec:
         support = frozenset(int(t) for t in body.split(",")) if body else frozenset()
     except ValueError:
         raise ValueError(f"bad support spec '{text}'") from None
+    gf2poly.check_degree(n)
     return SupportSpec(n, support)
 
 

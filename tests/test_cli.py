@@ -1,10 +1,17 @@
 """Command line surface: exact output lines and exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gf2parity
 from gf2parity.cli import main
+from gf2parity.gf2poly import MAX_DEGREE, parse_poly
 from gf2parity.lemma_lab import build_instance, write_replay
 
 
@@ -160,6 +167,62 @@ def test_jobs_below_one_refused(capsys, args, jobs):
     assert rc == 1
     assert out == ""
     assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+OVER = MAX_DEGREE + 1
+
+
+@pytest.mark.parametrize("form", ["x^{}+x+1", "{},1,0", "hex"])
+def test_degree_cap_in_every_parser_form(capsys, form):
+    at, over = (hex(1 << e | 3) if form == "hex" else form.format(e)
+                for e in (MAX_DEGREE, OVER))
+    assert parse_poly(at).degree == MAX_DEGREE
+    refusal = f"degree {OVER} is above the maximum of {MAX_DEGREE}"
+    with pytest.raises(ValueError, match=refusal):
+        parse_poly(over)
+    for command in ("parity", "factors", "disc", "trace"):
+        assert run(capsys, [command, over]) == (1, "", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--spec", f"n={OVER};S=1"],
+    ["verify", "--spec", f"n={OVER + 1};S=1"],
+    ["predict", "--spec", f"n={OVER + 1};S=1"],
+    ["search", "--n-lo", "5", "--n-hi", str(OVER)],
+])
+def test_degree_cap_in_specs_and_search(capsys, args):
+    degree = args[-1].partition(";")[0].removeprefix("n=")
+    assert run(capsys, args) == (
+        1, "", f"error: degree {degree} is above the maximum of {MAX_DEGREE}\n")
+
+
+def _limit_address_space():
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+HUGE = 10000000001
+REFUSED = f"error: degree {HUGE} is above the maximum of {MAX_DEGREE}\n"
+
+
+@pytest.mark.parametrize("args, err", [
+    (["parity", f"x^{HUGE}"], REFUSED),
+    (["parity", f"{HUGE},0"], REFUSED),
+    (["verify", "--spec", f"n={HUGE};S=1"], REFUSED),
+    (["search", "--n-lo", "5", "--n-hi", str(HUGE)], REFUSED),
+    (["audit", "--n-lo", "5", "--n-hi", str(HUGE)],
+     "error: degree 125 has 2097151 candidates, more than the 1048575 allowed per degree\n"),
+])
+def test_huge_degree_refused_before_allocation(args, err):
+    # 1 << HUGE needs 1.25 GB, and a list of the audit's odd degrees up to
+    # HUGE far more, so building either under a 512 MB address-space limit
+    # fails with MemoryError instead of the message
+    src = str(Path(gf2parity.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "gf2parity", *args], capture_output=True,
+                          text=True, env=env, preexec_fn=_limit_address_space, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
 def test_lemma_fuzz_ok(capsys):

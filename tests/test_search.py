@@ -1,12 +1,13 @@
 """Candidate enumeration, scan classification, and the corollary audit."""
 
 import json
+import math
 import random
 import time
 
 import pytest
 
-from gf2parity import cli, gf2poly
+from gf2parity import cli, search
 from gf2parity.gf2poly import (
     BitPoly,
     is_irreducible,
@@ -19,7 +20,9 @@ from gf2parity.search import (
     SearchQuery,
     _LaneScreen,
     _audit_pool,
+    _audit_survivors,
     _candidate_count,
+    _frobenius_irreducible,
     _middle_tuples,
     _no_zero_lane,
     corollary_audit,
@@ -290,7 +293,8 @@ def test_audit_counts_match_direct_enumeration():
 def test_audit_violations_in_enumeration_order(monkeypatch):
     # every screen survivor counts as irreducible, so the asserted degrees
     # report all of them, and the order must be that of _middle_tuples
-    monkeypatch.setattr(gf2poly, "is_irreducible", lambda f: True)
+    monkeypatch.setattr(search, "_frobenius_irreducible",
+                        lambda n, pool, codes: (1 << len(codes)) - 1)
     reported = 0
     for n in (19, 27, 43, 53):
         q = SearchQuery(n_lo=n, n_hi=n, shape="any-support", exponents="odd-only",
@@ -310,6 +314,68 @@ def test_audit_violations_in_enumeration_order(monkeypatch):
         assert row.irreducible == len(want)
         reported += len(want)
     assert reported == 0 + 2 + 17 + 68
+
+
+def _survivor_poly(n: int, code: int) -> int:
+    bits = 1 << n | 1
+    for t, m in enumerate(_audit_pool(n)):
+        if code >> t & 1:
+            bits |= 1 << m
+    return bits
+
+
+def _frobenius_fixes_x(f: int, steps: int) -> bool:
+    """x^(2^steps) = x mod f, by oracle squaring and division."""
+    r = 0b10
+    for _ in range(steps):
+        r = helpers.o_divmod(helpers.o_mul(r, r), f)[1]
+    return r == 0b10
+
+
+def test_frobenius_verdict_matches_is_irreducible():
+    for n in (27, 45, 53, 63, 81):
+        codes = _audit_survivors(n)
+        verdict = _frobenius_irreducible(n, _audit_pool(n), codes)
+        assert verdict >> len(codes) == 0
+        for c, code in enumerate(codes):
+            f = BitPoly(_survivor_poly(n, code))
+            assert verdict >> c & 1 == is_irreducible(f), (n, str(f))
+    # survivors that pass at step n but are reducible: only the steps n/p
+    # (here 21 and 9) reject them
+    passers = [code for code in _audit_survivors(63)
+               if _frobenius_fixes_x(_survivor_poly(63, code), 63)]
+    reducible = [code for code in passers if not is_irreducible(BitPoly(_survivor_poly(63, code)))]
+    assert len(reducible) == 2
+
+
+def _mixed_split(n: int) -> bool:
+    """Some divisors d of n with 9 <= d < n, repeats allowed, sum to n with lcm n."""
+    lcms = [set() for _ in range(n + 1)]
+    lcms[0].add(1)
+    for d in (d for d in range(9, n) if n % d == 0):
+        for total in range(d, n + 1):
+            lcms[total].update(math.lcm(l, d) for l in lcms[total - d])
+    return n in lcms[n]
+
+
+def test_frobenius_exact_up_to_the_candidate_bound():
+    # _audit_one_degree is exact where no mixed split exists; the bound on
+    # candidates must keep the audit below the first such degree
+    top = max(n for n in range(5, 301, 2)
+              if (1 << len(_audit_pool(n))) - 1 <= MAX_CANDIDATES_PER_DEGREE)
+    assert top >= 99
+    assert not any(_mixed_split(n) for n in range(5, top + 1, 2))
+    assert _mixed_split(135)
+    assert sum((9, 9, 27, 45, 45)) == 135 and math.lcm(9, 27, 45) == 135
+
+
+def test_corollary_above_99():
+    rep = corollary_audit(101, 123)
+    assert [r.n for r in rep.rows] == list(range(101, 124, 2))
+    asserted = [r for r in rep.rows if r.asserted]
+    assert [r.n for r in asserted] == [101, 107, 109, 115, 117, 123]
+    assert all(r.irreducible == 0 for r in asserted)
+    assert rep.ok
 
 
 def test_audit_parallel_matches_serial():
