@@ -75,10 +75,6 @@ class BitPoly:
         """Number of nonzero terms."""
         return self.bits.bit_count()
 
-    def shift(self, k: int) -> BitPoly:
-        """Multiply by x^k."""
-        return BitPoly(self.bits << k)
-
     def __add__(self, other: BitPoly) -> BitPoly:
         return BitPoly(self.bits ^ other.bits)
 
@@ -254,11 +250,6 @@ def format_poly(f: BitPoly) -> str:
     for e in f.exponents:
         terms.append("1" if e == 0 else "x" if e == 1 else f"x^{e}")
     return "+".join(terms)
-
-
-def rem(f: BitPoly, g: BitPoly) -> BitPoly:
-    """Remainder of f modulo g; g must be nonzero."""
-    return f % g
 
 
 def gcd(f: BitPoly, g: BitPoly) -> BitPoly:

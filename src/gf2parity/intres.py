@@ -9,6 +9,8 @@ a field, but odd entries are units, so every elimination step is exact;
 once no odd entry is left, the remaining minor is all even and its
 determinant is read off directly (0 mod 8 when it is 3 x 3 or larger).
 Matrix rows are packed into one int each, one entry per 8-bit lane.
+resultant_mod8_terms is the one mod-8 entry: it takes both polynomials as
+(exponent, coefficient) pairs, and the IntPoly functions call it.
 
 Leading zero coefficients are representable only through an explicitly
 declared degree, which is the padding device used for resultants of a
@@ -109,37 +111,10 @@ class IntPoly:
     def __hash__(self) -> int:
         return hash(("IntPoly", self.coeffs))
 
-    def __str__(self) -> str:
-        return format_int_poly(self)
-
     def __repr__(self) -> str:
         if self.declared_degree is not None:
             return f"IntPoly({list(self.coeffs)}, declared_degree={self.declared_degree})"
         return f"IntPoly({list(self.coeffs)})"
-
-
-def parse_int_poly(text: str) -> IntPoly:
-    """Parse "21:1,7:1,0:1" style degree:coefficient pairs; "0" is zero."""
-    s = "".join(text.split())
-    if s == "0" or not s:
-        return IntPoly()
-    pairs = []
-    for token in s.split(","):
-        d, sep, c = token.partition(":")
-        if not sep:
-            raise ValueError(f"bad pair '{token}'")
-        try:
-            pairs.append((int(d), int(c)))
-        except ValueError:
-            raise ValueError(f"bad pair '{token}'") from None
-    return IntPoly.from_pairs(pairs)
-
-
-def format_int_poly(f: IntPoly) -> str:
-    """Inverse of parse_int_poly, descending degrees, zero terms dropped."""
-    pairs = [f"{d}:{c}" for d in range(len(f.coeffs) - 1, -1, -1)
-             if (c := f.coeff(d))]
-    return ",".join(pairs) if pairs else "0"
 
 
 class IntMatrix:
@@ -162,9 +137,6 @@ class IntMatrix:
         if any(len(r) != n_cols for r in rows):
             raise ValueError("ragged rows")
         return cls(len(rows), n_cols, [e for r in rows for e in r])
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.n_cols + j]
 
     def to_rows(self) -> list[list[int]]:
         c = self.n_cols
@@ -244,9 +216,10 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _pack(entries) -> int:
-    """Entries reduced mod 8, one 8-bit lane each, the first in the lowest lane."""
-    return int.from_bytes(bytes([e % 8 for e in entries]), "little")
+def _pack(terms) -> int:
+    """(index, entry) pairs with distinct indices, each entry reduced mod 8
+    into the 8-bit lane of its index; lane 0 is the lowest byte."""
+    return sum((c % 8) << 8 * e for e, c in terms)
 
 
 def _lane_mask(n: int, value: int) -> int:
@@ -303,24 +276,24 @@ def det_mod8(m: IntMatrix) -> int:
     if m.n_rows != m.n_cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.n_rows
-    return _det_mod8_packed([_pack(m.entries[i * n:(i + 1) * n]) for i in range(n)], n)
+    return _det_mod8_packed(
+        [_pack(enumerate(m.entries[i * n:(i + 1) * n])) for i in range(n)], n)
 
 
-def _multiplication_rows(f: IntPoly, g: IntPoly) -> list[int]:
-    """Packed rows x^j * g mod f over Z/8, j = 0..n-1, for monic f of degree n.
+def _multiplication_rows(f: int, n: int, g: int) -> list[int]:
+    """Packed rows x^j * g mod f over Z/8, j = 0..n-1, for f and g packed
+    (see _pack) and f monic of degree n.
 
     neg[c] is -c * f lane-wise mod 8, its lane n included: adding it to a
     polynomial whose lane n holds c clears that lane, which is one step of
     reduction mod f. g is reduced from its top lane down, then each row
     is the previous one shifted up a lane and reduced the same way.
     """
-    n = f.degree
-    cs = g.coeffs
-    full = _lane_mask(max(len(cs), n + 1), 7)
-    packed = _pack(f.coeffs)
-    neg = [packed * (-c % 8) & full for c in range(8)]
-    h = _pack(cs)
-    for k in range(len(cs) - 1, n - 1, -1):
+    lanes = (g.bit_length() + 7) // 8
+    full = _lane_mask(max(lanes, n + 1), 7)
+    neg = [f * (-c % 8) & full for c in range(8)]
+    h = g
+    for k in range(lanes - 1, n - 1, -1):
         c = h >> 8 * k & 7
         if c:
             h = (h + (neg[c] << 8 * (k - n))) & full
@@ -334,6 +307,20 @@ def _multiplication_rows(f: IntPoly, g: IntPoly) -> list[int]:
     return rows
 
 
+def resultant_mod8_terms(f_terms, g_terms) -> int:
+    """Resultant of monic f and g reduced into 0..7, each polynomial given
+    as (exponent, coefficient) pairs with distinct exponents.
+
+    For monic f of degree n this is the determinant of multiplication by
+    g on (Z/8)[x]/(f), so it does not depend on how far g is padded.
+    f_terms must be a sequence; its highest exponent is the degree.
+    """
+    n, lead = max(f_terms, default=(0, 0))
+    if lead != 1:
+        raise ValueError("the mod-8 resultant needs a monic first argument")
+    return _det_mod8_packed(_multiplication_rows(_pack(f_terms), n, _pack(g_terms)), n)
+
+
 def resultant(f: IntPoly, g: IntPoly) -> int:
     """Exact resultant of f and g."""
     return det_exact(sylvester(f, g))
@@ -345,11 +332,9 @@ def resultant_mod8(f: IntPoly, g: IntPoly) -> int:
     For monic f of degree n this is the determinant of multiplication by
     g on (Z/8)[x]/(f), so it does not depend on how far g is padded.
     """
-    if f.is_zero or f.coeffs[-1] != 1:
-        raise ValueError("the mod-8 resultant needs a monic first argument")
     if g.is_zero and g.declared_degree is None:
         raise ValueError("zero second argument needs a declared degree")
-    return _det_mod8_packed(_multiplication_rows(f, g), f.degree)
+    return resultant_mod8_terms(tuple(enumerate(f.coeffs)), enumerate(g.coeffs))
 
 
 def _discriminant_degree(f: IntPoly) -> int:

@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import gf2poly
 from . import intres
 from .intres import IntMatrix, IntPoly
 from .pool import map_in_pool, pool_size
@@ -411,6 +412,9 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id '{lemma_id}'")
+    for size in (n, s, m):
+        if size is not None:
+            gf2poly.check_degree(size)
     seed = instance_seed(campaign_seed, lemma_id, index)
     if lemma_id == "D":
         size = m if m is not None else 2 + index % 7
@@ -445,38 +449,32 @@ class FuzzResult:
 def run_fuzz(lemma_id: str, trials: int, campaign_seed: int, *,
              n: int | None = None, s: int | None = None, m: int | None = None,
              jobs: int = 1) -> FuzzResult:
-    """Run a fuzz campaign; aborts at the first failed conclusion."""
+    """Run a fuzz campaign; reports the first failed conclusion, if any.
+
+    The trials are split into one contiguous chunk per worker; with one
+    worker the single chunk runs in this process.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     workers = pool_size(jobs, trials)
-    if workers > 1:
-        return _run_fuzz_parallel(lemma_id, trials, campaign_seed, n=n, s=s, m=m,
-                                  workers=workers)
-    check = _CHECKERS[lemma_id]
-    for index in range(trials):
-        inst = build_instance(lemma_id, campaign_seed, index, n=n, s=s, m=m)
-        if not check(inst):
-            return FuzzResult(lemma_id, trials, index + 1, inst)
-    return FuzzResult(lemma_id, trials, trials, None)
-
-
-def _fuzz_chunk(args) -> tuple[int, int] | None:
-    lemma_id, campaign_seed, start, stop, n, s, m = args
-    check = _CHECKERS[lemma_id]
-    for index in range(start, stop):
-        inst = build_instance(lemma_id, campaign_seed, index, n=n, s=s, m=m)
-        if not check(inst):
-            return index, inst.seed
-    return None
-
-
-def _run_fuzz_parallel(lemma_id, trials, campaign_seed, *, n, s, m, workers) -> FuzzResult:
     bounds = [(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
     tasks = [(lemma_id, campaign_seed, lo, hi, n, s, m) for lo, hi in bounds]
     hits = [h for h in map_in_pool(_fuzz_chunk, tasks, workers) if h is not None]
     if not hits:
         return FuzzResult(lemma_id, trials, trials, None)
-    index = min(h[0] for h in hits)
+    index = min(hits)
     inst = build_instance(lemma_id, campaign_seed, index, n=n, s=s, m=m)
     return FuzzResult(lemma_id, trials, index + 1, inst)
+
+
+def _fuzz_chunk(args) -> int | None:
+    """Index of the first failed conclusion in trials start..stop-1, or None."""
+    lemma_id, campaign_seed, start, stop, n, s, m = args
+    check = _CHECKERS[lemma_id]
+    for index in range(start, stop):
+        if not check(build_instance(lemma_id, campaign_seed, index, n=n, s=s, m=m)):
+            return index
+    return None
 
 
 def recheck(instance: LemmaInstance) -> bool:

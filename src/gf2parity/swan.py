@@ -10,10 +10,17 @@ integer polynomials are always 1 mod 4).
 On top of that sits a residue-class predictor for trinomial-like
 polynomials f = x^n + sum_{i in S} x^i + 1 with odd n and admissible
 supports S: every i in S must satisfy 3i < n with i odd, or i = n mod 4.
-For such f the auxiliary polynomial G = n(nF - xF') makes the
-discriminant computable mod 8 in closed form, giving parity from n mod 8
-alone: odd for n = +-1, even for n = +-3. verify_theorem_instance checks
-the full identity chain on concrete instances and reports the outcome.
+For such f the auxiliary polynomial G = n(nF - xF') is 1 + 2 G2 + 4 G4
+mod 8 with 3 deg G2 < n, which makes the discriminant computable mod 8
+in closed form, giving parity from n mod 8 alone: odd for n = +-1, even
+for n = +-3. verify_theorem_instance checks the full identity chain on
+concrete instances and reports the outcome.
+
+The mod-8 path builds no integer polynomial. F, F' and G go to
+intres.resultant_mod8_terms as (exponent, coefficient) pairs read off
+the support: F is 1 at each exponent e of f, F' is e at e - 1, and G is
+n^2 at 0 and n(n - i) at each i in S. lift_01 builds the IntPoly that
+the exact discriminant needs.
 """
 
 from __future__ import annotations
@@ -24,15 +31,26 @@ from dataclasses import dataclass, field
 from . import gf2poly
 from . import intres
 from .gf2poly import BitPoly
-from .intres import IntPoly
 
 ODD = "odd"
 EVEN = "even"
 
 
-def lift_01(f: BitPoly) -> IntPoly:
+def lift_01(f: BitPoly) -> intres.IntPoly:
     """Integer lift with the same 0/1 coefficients."""
-    return IntPoly.from_pairs((e, 1) for e in f.exponents)
+    return intres.IntPoly.from_pairs((e, 1) for e in f.exponents)
+
+
+def _disc_mod8(f: BitPoly) -> int:
+    """disc(F) reduced into 0..7 for the 0/1 lift F of f, degree >= 2.
+
+    disc(F) = (-1)^(n(n-1)/2) res(F, F'), and F' is e at e - 1 for each
+    exponent e of f.
+    """
+    n = f.degree
+    es = f.exponents
+    r = intres.resultant_mod8_terms([(e, 1) for e in es], [(e - 1, e) for e in es if e])
+    return -r % 8 if (n * (n - 1) // 2) % 2 else r
 
 
 def _admissible(n: int, i: int) -> bool:
@@ -94,7 +112,7 @@ def stickelberger_parity(f: BitPoly) -> str:
     n = f.degree
     if n == 1:
         return ODD
-    d8 = intres.discriminant_mod8(lift_01(f))
+    d8 = _disc_mod8(f)
     if d8 == 1:
         return ODD if n % 2 else EVEN
     if d8 == 5:
@@ -103,50 +121,31 @@ def stickelberger_parity(f: BitPoly) -> str:
         f"squarefree input produced discriminant residue {d8}, expected 1 or 5")
 
 
-def build_G(n: int, F: IntPoly) -> IntPoly:
-    """The auxiliary polynomial n*(n*F - x*F') for a 0/1 monic lift F.
+def g_terms(n: int, support) -> list[tuple[int, int]]:
+    """G = n(nF - xF') as (exponent, coefficient) pairs for f = x^n + sum_S x^i + 1.
 
-    Coefficientwise this is n*(n-i) at each exponent i in the support of
-    F below n, plus the constant n^2 (and the x^n term cancels).
+    The x^n terms cancel, leaving n^2 at 0 and n(n - i) at each i in S.
     """
-    if F.is_zero or F.degree != n:
-        raise ValueError(f"lift degree does not match n={n}")
-    if any(c not in (0, 1) for c in F.coeffs):
-        raise ValueError("lift coefficients must be 0 or 1")
-    return IntPoly(n * (n - i) * F.coeff(i) for i in range(n + 1))
+    return [(0, n * n), *((i, n * (n - i)) for i in sorted(support))]
 
 
-def decompose_G(G: IntPoly, n: int) -> tuple[IntPoly, IntPoly]:
-    """Split G as 4*G4 + 2*G2 + 1 mod 8 coefficientwise, returning (G2, G4).
+def check_g_terms(n: int, terms) -> None:
+    """Check G = 1 + 2 G2 + 4 G4 mod 8 with 3 deg(G2) < n, term by term.
 
-    G2 collects exponents i with n-i = 2 mod 4, scaled to n(n-i)/2; G4
-    collects n-i = 4 mod 8, scaled to n(n-i)/4; exponents with n-i = 0
-    mod 8 vanish mod 8. The residual identity and the degree bounds
-    3*deg(G2) < n and deg(G4) < n are verified and any failure raises,
-    which is how a malformed support surfaces here.
+    The constant must be 1 mod 8 and every other coefficient even; one
+    that is 2 mod 4 is a term of G2, so its exponent i needs 3i < n. All
+    exponents lie below n. Any failure raises, which is how a malformed
+    support surfaces here.
     """
-    g2: list[tuple[int, int]] = []
-    g4: list[tuple[int, int]] = []
-    deg = G.degree if not G.is_zero else -1
-    for i in range(1, deg + 1):
-        if G.coeff(i) == 0:
-            continue
-        k = n - i
-        if k % 4 == 2:
-            g2.append((i, n * k // 2))
-        elif k % 8 == 4:
-            g4.append((i, n * k // 4))
-    G2 = IntPoly.from_pairs(g2)
-    G4 = IntPoly.from_pairs(g4)
-    for i in range(deg + 1):
-        want = 4 * G4.coeff(i) + 2 * G2.coeff(i) + (1 if i == 0 else 0)
-        if (G.coeff(i) - want) % 8:
-            raise ValueError(f"decomposition identity fails at exponent {i}")
-    if not G2.is_zero and 3 * G2.degree >= n:
-        raise ValueError("degree bound 3*deg(G2) < n fails")
-    if not G4.is_zero and G4.degree >= n:
-        raise ValueError("degree bound deg(G4) < n fails")
-    return G2, G4
+    for i, c in terms:
+        if not 0 <= i < n:
+            raise ValueError(f"G has a term at x^{i}, outside degrees 0..{n - 1}")
+        if i == 0 and c % 8 != 1:
+            raise ValueError(f"constant of G is {c % 8} mod 8, not 1")
+        if i and c % 2:
+            raise ValueError(f"coefficient of x^{i} in G is odd")
+        if c % 4 == 2 and 3 * i >= n:
+            raise ValueError(f"x^{i} is a term of G2, but 3*{i} < {n} fails")
 
 
 @dataclass(frozen=True)
@@ -228,26 +227,24 @@ class ParityReport:
 def verify_theorem_instance(n: int, support) -> ParityReport:
     """Check the whole identity chain for one admissible support.
 
-    Asserted facts: the resultant of (F, G) with G zero-padded to degree
-    n-4 is 1 mod 8; n^n disc(F) = (-1)^(n(n-1)/2) res(F, G) mod 8; the
+    Asserted facts: res(F, G) is 1 mod 8 (for monic F the mod-8 resultant
+    does not change when G is zero-padded to degree n-4, as the proof
+    pads it); n^n disc(F) = (-1)^(n(n-1)/2) res(F, G) mod 8; the
     discriminant residue is 1 for n = +-1 mod 8 and 5 for n = +-3; the
     induced binary polynomial is squarefree and its observed factor-count
     parity matches the prediction. Failures are named in the report and
     flip agree to False rather than raising.
     """
     spec = SupportSpec(n, frozenset(support))
-    if not spec.valid:
-        theorem_parity(n, support)  # raises with the offending exponent named
+    predicted = theorem_parity(n, spec.support)  # raises with the offending exponent named
     f = spec.poly()
-    F = lift_01(f)
-    G = build_G(n, F)
-    decompose_G(G, n)  # malformed instances raise here
+    G = g_terms(n, spec.support)
+    check_g_terms(n, G)  # malformed instances raise here
     failures: list[str] = []
-    padded = IntPoly(G.coeffs, declared_degree=n - 4)
-    r8 = intres.resultant_mod8(F, padded)
+    r8 = intres.resultant_mod8_terms([(e, 1) for e in f.exponents], G)
     if r8 != 1:
         failures.append("resultant_unit")
-    d8 = intres.discriminant_mod8(F)
+    d8 = _disc_mod8(f)
     sign = 7 if (n * (n - 1) // 2) % 2 else 1
     if pow(n, n, 8) * d8 % 8 != sign * r8 % 8:
         failures.append("determinant_bridge")
@@ -259,7 +256,6 @@ def verify_theorem_instance(n: int, support) -> ParityReport:
     t = gf2poly.count_distinct_irreducible_factors(f)
     # a squarefree f has each factor once, so the two counts agree
     tm = t if squarefree else gf2poly.count_factors_with_multiplicity(f)
-    predicted = theorem_parity(n, support)
     observed = ODD if t % 2 else EVEN
     agree = predicted == observed and not failures
     return ParityReport(

@@ -225,6 +225,35 @@ def test_huge_degree_refused_before_allocation(args, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
+FUZZ = ["lemma-fuzz", "--trials", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize("args, size", [
+    (["--lemma", "general", "--n", "100001"], 100001),
+    (["--lemma", "general", "--n", "100001", "--jobs", "2"], 100001),
+    (["--lemma", "d", "--m", "100000"], 100000),
+    (["--lemma", "l2", "--n", "5", "--m", "100000"], 100000),
+    (["--lemma", "l1a", "--n", "12", "--s", "100000"], 100000),
+])
+def test_lemma_fuzz_sizes_refused_before_allocation(args, size):
+    # a size x size list of lists at these sizes fails with MemoryError
+    # under the 512 MB address-space limit instead of the message
+    src = str(Path(gf2parity.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "gf2parity", *FUZZ, *args],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_limit_address_space, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: degree {size} is above the maximum of {MAX_DEGREE}\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_lemma_fuzz_negative_trials_refused(capsys, jobs):
+    assert run(capsys, ["lemma-fuzz", "--lemma", "d", "--trials", "-5", "--seed", "1",
+                        "--jobs", jobs]) == (1, "", "error: trials must be at least 0, got -5\n")
+
+
 def test_lemma_fuzz_ok(capsys):
     rc, out, _ = run(capsys, ["lemma-fuzz", "--lemma", "l2",
                               "--trials", "50", "--seed", "9"])

@@ -12,10 +12,9 @@ from gf2parity.intres import (
     det_mod8,
     discriminant_int,
     discriminant_mod8,
-    format_int_poly,
-    parse_int_poly,
     resultant,
     resultant_mod8,
+    resultant_mod8_terms,
     sylvester,
 )
 from gf2parity.swan import lift_01
@@ -65,15 +64,6 @@ def test_int_poly_arithmetic():
     assert (f - g).coeffs == (0, -1, 1)
     assert (f * g).coeffs == (1, 1, 1, 1)
     assert f.derivative().coeffs == (0, 2)
-
-
-def test_int_poly_text_round_trip():
-    f = parse_int_poly("21:1,7:1,0:1")
-    assert f.coeffs[21] == 1 and f.coeffs[7] == 1 and f.coeffs[0] == 1
-    assert parse_int_poly(format_int_poly(f)) == f
-    assert parse_int_poly("0").is_zero
-    with pytest.raises(ValueError):
-        parse_int_poly("3:1,3:2")
 
 
 # -- Sylvester layout ----------------------------------------------------------
@@ -211,6 +201,23 @@ def test_resultant_mod8_refuses_non_monic_f():
         with pytest.raises(ValueError, match="monic"):
             resultant_mod8(f, ip(1, 1))
     assert resultant(ip(1, 0, 2), ip(1, 1)) == 3  # the exact path takes any f
+
+
+def test_resultant_mod8_terms_matches_exact():
+    # sparse terms in any order, coefficients outside 0..7 included
+    rng = random.Random(75)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        f_terms = [(n, 1)] + [(e, rng.randint(-20, 20)) for e in rng.sample(range(n), min(n, 3))]
+        g_terms = [(e, rng.randint(-20, 20)) for e in rng.sample(range(15), rng.randint(1, 4))]
+        rng.shuffle(f_terms)
+        f, g = IntPoly.from_pairs(f_terms), IntPoly.from_pairs(g_terms)
+        if g.is_zero:
+            continue
+        assert resultant_mod8_terms(f_terms, g_terms) == resultant(f, g) % 8, (f, g)
+    for f_terms in ([(2, 9), (0, 1)], [(1, 1), (3, 0)], []):
+        with pytest.raises(ValueError, match="monic"):
+            resultant_mod8_terms(f_terms, [(0, 1)])
 
 
 def test_r1_reduction_invariance():

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from gf2parity import lemma_lab
+from gf2parity.gf2poly import MAX_DEGREE
 from gf2parity.intres import IntPoly, det_exact, resultant, sylvester
 from gf2parity.lemma_lab import (
     HypothesisViolation,
@@ -26,7 +28,7 @@ from gf2parity.lemma_lab import (
     run_fuzz,
     write_replay,
 )
-from gf2parity.swan import build_G, lift_01, support_poly, support_universe
+from gf2parity.swan import g_terms, lift_01, support_poly, support_universe
 
 
 def d_instance(rows):
@@ -190,8 +192,7 @@ def test_sylvester_of_theorem_pair_meets_general_hypotheses():
         universe = support_universe(n)
         support = set(rng.sample(universe, min(len(universe), rng.randint(0, 4))))
         F = lift_01(support_poly(n, support))
-        G = build_G(n, F)
-        padded = IntPoly(G.coeffs, declared_degree=n - 4)
+        padded = IntPoly.from_pairs(g_terms(n, support), declared_degree=n - 4)
         rows = [[v % 8 for v in row] for row in sylvester(F, padded).to_rows()]
         assert general_hypothesis_violations(rows, n) == [], (n, sorted(support))
         inst = LemmaInstance("GENERAL", {"n": n, "m": n - 4, "s": (n - 1) // 3},
@@ -227,6 +228,26 @@ def test_run_fuzz_pinned_parameters():
     assert result.ok
     result = run_fuzz("D", 40, 37, m=3)
     assert result.ok
+
+
+def test_run_fuzz_reports_first_failure(monkeypatch):
+    bad = {instance_seed(5, "D", i) for i in (12, 7)}
+    monkeypatch.setitem(lemma_lab._CHECKERS, "D", lambda inst: inst.seed not in bad)
+    result = run_fuzz("D", 20, 5)
+    assert (result.ok, result.checked) == (False, 8)
+    assert result.failure.seed == instance_seed(5, "D", 7)
+
+
+def test_run_fuzz_refuses_negative_trials():
+    with pytest.raises(ValueError, match="trials must be at least 0, got -1"):
+        run_fuzz("D", -1, 0)
+    assert run_fuzz("D", 0, 0).checked == 0
+
+
+@pytest.mark.parametrize("pin", ["n", "s", "m"])
+def test_build_instance_refuses_sizes_above_the_cap(pin):
+    with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} is above"):
+        build_instance("D", 0, 0, **{pin: MAX_DEGREE + 1})
 
 
 def test_build_instance_rejects_unknown_lemma():

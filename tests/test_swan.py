@@ -1,5 +1,7 @@
 """Lifts, parity predictors, the G decomposition, and instance reports."""
 
+import hashlib
+import itertools
 import json
 import random
 
@@ -10,13 +12,14 @@ from gf2parity.gf2poly import (
     count_distinct_irreducible_factors,
     parse_poly,
 )
-from gf2parity.intres import IntPoly, resultant_mod8
+from gf2parity import intres
+from gf2parity.intres import IntPoly, resultant_mod8, resultant_mod8_terms
 from gf2parity.swan import (
     EVEN,
     ODD,
     SupportSpec,
-    build_G,
-    decompose_G,
+    check_g_terms,
+    g_terms,
     invalid_support_elements,
     lift_01,
     parse_support_spec,
@@ -110,13 +113,10 @@ def oracle_build_g(n, support):
 
 
 def test_build_g_examples():
-    g = build_G(7, lift_01(BitPoly.from_exponents((7, 3, 0))))
-    assert g.coeffs == (49, 0, 0, 28)
-    g11 = build_G(11, lift_01(BitPoly.from_exponents((11, 1, 0))))
-    assert g11.coeffs == (121, 110)
+    assert g_terms(7, {3}) == [(0, 49), (3, 28)]
+    assert g_terms(11, {1}) == [(0, 121), (1, 110)]
     for n in (5, 9, 13):
-        plain = build_G(n, lift_01(BitPoly.from_exponents((n, 0))))
-        assert plain.coeffs == (n * n,)
+        assert g_terms(n, set()) == [(0, n * n)]
 
 
 def test_build_g_matches_expansion():
@@ -124,53 +124,51 @@ def test_build_g_matches_expansion():
     for _ in range(100):
         n = rng.randrange(5, 40, 2)
         support = set(rng.sample(range(1, n), rng.randint(0, 4)))
-        F = lift_01(support_poly(n, support))
-        got = build_G(n, F)
-        want = oracle_build_g(n, support)
-        while want and want[-1] == 0:
-            want.pop()
-        assert list(got.coeffs) == want
+        want = {i: c for i, c in enumerate(oracle_build_g(n, support)) if c}
+        assert dict(g_terms(n, support)) == want
 
 
 def test_build_g_rejects_degree_mismatch():
-    with pytest.raises(ValueError):
-        build_G(9, lift_01(BitPoly.from_exponents((7, 3, 0))))
+    # G built for n = 13 has a term at x^9, which is not below n = 9
+    with pytest.raises(ValueError, match="outside"):
+        check_g_terms(9, g_terms(13, {1, 9}))
 
 
 def test_decompose_g_examples():
-    n = 7
-    g = build_G(n, lift_01(support_poly(n, {3})))
-    g2, g4 = decompose_G(g, n)
-    assert g2.is_zero
-    assert g4.coeffs == (0, 0, 0, 7)
-
-    n = 11
-    g = build_G(n, lift_01(support_poly(n, {1})))
-    g2, g4 = decompose_G(g, n)
-    assert g4.is_zero
-    assert g2.coeffs == (0, 55)
-
-    for n in (5, 13, 21):
-        g = build_G(n, lift_01(support_poly(n, set())))
-        g2, g4 = decompose_G(g, n)
-        assert g2.is_zero and g4.is_zero
+    # n = 7, S = {3}: 28 = 4 * 7 is a G4 term; n = 11, S = {1}: 110 = 2 * 55
+    # is a G2 term with 3 * 1 < 11; an empty support leaves G = n^2
+    for n, support in ((7, {3}), (11, {1}), (5, set()), (13, set()), (21, set())):
+        check_g_terms(n, g_terms(n, support))
 
 
 def test_decompose_g_identity_and_bounds():
+    # the check passes exactly when the expanded G is 1 + 2 G2 + 4 G4 mod 8
+    # with 3 deg(G2) < n, and always on admissible supports
     rng = random.Random(79)
-    for _ in range(100):
+    for _ in range(300):
         n = rng.randrange(5, 40, 2)
-        universe = support_universe(n)
-        support = set(rng.sample(universe, min(len(universe), rng.randint(0, 4))))
-        g = build_G(n, lift_01(support_poly(n, support)))
-        g2, g4 = decompose_G(g, n)
-        for i in range(n + 1):
-            want = (4 * g4.coeff(i) + 2 * g2.coeff(i) + (1 if i == 0 else 0)) % 8
-            assert g.coeff(i) % 8 == want, (n, sorted(support), i)
-        if not g2.is_zero:
-            assert 3 * g2.degree < n
-        if not g4.is_zero:
-            assert g4.degree < n
+        pool = support_universe(n) if rng.random() < 0.5 else range(1, n)
+        support = set(rng.sample(pool, min(len(pool), rng.randint(0, 4))))
+        g = oracle_build_g(n, support)
+        ok = (g[0] % 8 == 1 and all(c % 2 == 0 for c in g[1:])
+              and all(3 * i < n for i, c in enumerate(g) if c % 4 == 2))
+        assert ok or not validate_support(n, support)
+        try:
+            check_g_terms(n, g_terms(n, support))
+        except ValueError:
+            assert not ok, (n, sorted(support))
+        else:
+            assert ok, (n, sorted(support))
+
+
+@pytest.mark.parametrize("n, support, match", [
+    (11, {2}, "odd"),  # an even exponent gives the odd coefficient 11 * 9
+    (11, {5}, "G2"),   # 11 * 6 is 2 mod 4, but 3 * 5 >= 11
+    (8, set(), "constant"),  # n^2 is not 1 mod 8 for even n
+])
+def test_check_g_terms_refuses_malformed_g(n, support, match):
+    with pytest.raises(ValueError, match=match):
+        check_g_terms(n, g_terms(n, support))
 
 
 # -- the padded resultant property ----------------------------------------------
@@ -182,10 +180,37 @@ def test_padded_resultant_unit_and_natural_equal():
         universe = support_universe(n)
         support = set(rng.sample(universe, min(len(universe), rng.randint(0, 3))))
         F = lift_01(support_poly(n, support))
-        G = build_G(n, F)
+        G = IntPoly.from_pairs(g_terms(n, support))
         padded = IntPoly(G.coeffs, declared_degree=n - 4)
         assert int(resultant_mod8(F, padded)) == 1
         assert int(resultant_mod8(F, G)) == int(resultant_mod8(F, padded))
+        F_terms = [(i, 1) for i in (0, n, *support)]
+        assert resultant_mod8_terms(F_terms, g_terms(n, support)) == 1
+
+
+def test_mod8_path_builds_no_int_poly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("IntPoly built on the mod-8 path")
+
+    monkeypatch.setattr(intres.IntPoly, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        IntPoly([1])
+    assert verify_theorem_instance(13, {1, 9}).agree
+    assert stickelberger_parity(parse_poly("x^13+x^9+x+1")) == EVEN
+
+
+def test_reports_match_recorded_digest():
+    # SHA-256 of every criterion-1 report with |S| <= 2, odd n in [5, 61],
+    # one JSON line each, recorded before the mod-8 path moved to terms
+    lines = []
+    for n in range(5, 62, 2):
+        universe = support_universe(n)
+        for k in (0, 1, 2):
+            for support in itertools.combinations(universe, k):
+                lines.append(verify_theorem_instance(n, support).to_json_line())
+    assert len(lines) == 2184
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0106e9ab04cfa469028e7ea59be5d9d8599d3df0700effa9a14048f3adef30ae"
 
 
 # -- SupportSpec and reports ----------------------------------------------------
