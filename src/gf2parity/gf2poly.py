@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 # the highest degree accepted from text (parse_poly, swan.parse_support_spec,
 # search.SearchQuery); the exact disc of a degree-511 input takes about
-# 40 s, eight times as long as at degree 255 (README)
+# 6 s, Bareiss on the 511 x 511 multiplication matrix (README)
 MAX_DEGREE = 511
 
 

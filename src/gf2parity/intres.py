@@ -2,15 +2,20 @@
 
 Polynomials live over Z with arbitrary precision coefficients. The exact
 resultant is the determinant of the Sylvester matrix, computed by
-fraction-free (Bareiss) elimination. The mod-8 resultant of a monic f of
-degree n is the determinant of the n x n matrix of multiplication by g
-on (Z/8)[x]/(f), eliminated over Z/8 with odd pivots only. Z/8Z is not
-a field, but odd entries are units, so every elimination step is exact;
-once no odd entry is left, the remaining minor is all even and its
-determinant is read off directly (0 mod 8 when it is 3 x 3 or larger).
-Matrix rows are packed into one int each, one entry per 8-bit lane.
-resultant_mod8_terms is the one mod-8 entry: it takes both polynomials as
-(exponent, coefficient) pairs, and the IntPoly functions call it.
+fraction-free (Bareiss) elimination; the exact discriminant of a monic f
+runs the same elimination on the n x n matrix of multiplication by f'
+on Z[x]/(f), whose determinant is res(f, f').
+
+The mod-8 resultant of a monic f and any g is a Euclid-style remainder
+sequence on polynomials packed into one int each, one coefficient per
+8-bit lane. Z/8Z is not a field, so a remainder with an even leading
+coefficient cannot be made monic; it is split instead by 2-adic Hensel
+lifting into a monic factor and a factor that is 1 mod 2, and the
+resultant against the latter is taken on the reversed polynomials, where
+it becomes monic (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 6 and 15). resultant_mod8_terms is the one mod-8 entry: it takes both
+polynomials as (exponent, coefficient) pairs, and the IntPoly functions
+call it. det_mod8 eliminates an explicit matrix over Z/8 with odd pivots.
 
 Leading zero coefficients are representable only through an explicitly
 declared degree, which is the padding device used for resultants of a
@@ -226,8 +231,8 @@ def _lane_mask(n: int, value: int) -> int:
     return value * int.from_bytes(b"\x01" * n, "little")
 
 
-def _det_mod8_packed(rows: list[int], n: int) -> int:
-    """Determinant in 0..7 of the n x n matrix with packed rows (see _pack).
+def det_mod8(m: IntMatrix) -> int:
+    """Determinant reduced into 0..7, with rows packed as in _pack.
 
     Full pivoting on odd entries: the pivot row is the first remaining
     row with an odd lane, the pivot column its lowest odd lane. An odd p
@@ -240,9 +245,12 @@ def _det_mod8_packed(rows: list[int], n: int) -> int:
     all even, so its determinant is 0 mod 8 for s >= 3 and is taken
     directly for s <= 2.
     """
+    if m.n_rows != m.n_cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.n_rows
     ones = _lane_mask(n, 1)
     sevens = 7 * ones
-    rest = list(rows)
+    rest = [_pack(enumerate(m.entries[i * n:(i + 1) * n])) for i in range(n)]
     free = list(range(n))  # columns not yet pivoted, ascending
     det = 1
     while True:
@@ -271,54 +279,112 @@ def _det_mod8_packed(rows: list[int], n: int) -> int:
     return det % 8
 
 
-def det_mod8(m: IntMatrix) -> int:
-    """Determinant reduced into 0..7."""
-    if m.n_rows != m.n_cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.n_rows
-    return _det_mod8_packed(
-        [_pack(enumerate(m.entries[i * n:(i + 1) * n])) for i in range(n)], n)
+def _divmod8(e: int, p: int, d: int, mask: int) -> tuple[int, int]:
+    """Quotient and remainder of packed e by packed monic p of degree d, mod 8.
 
-
-def _multiplication_rows(f: int, n: int, g: int) -> list[int]:
-    """Packed rows x^j * g mod f over Z/8, j = 0..n-1, for f and g packed
-    (see _pack) and f monic of degree n.
-
-    neg[c] is -c * f lane-wise mod 8, its lane n included: adding it to a
-    polynomial whose lane n holds c clears that lane, which is one step of
-    reduction mod f. g is reduced from its top lane down, then each row
-    is the previous one shifted up a lane and reduced the same way.
+    Top lane down: a lane k >= d holding c is cleared by adding
+    (8 - c) x^(k-d) p, whose lanes are at most 49, so no sum reaches 256
+    and no carry crosses a lane before the mask.
     """
-    lanes = (g.bit_length() + 7) // 8
-    full = _lane_mask(max(lanes, n + 1), 7)
-    neg = [f * (-c % 8) & full for c in range(8)]
-    h = g
-    for k in range(lanes - 1, n - 1, -1):
-        c = h >> 8 * k & 7
+    q = 0
+    for k in range((e.bit_length() - 1) >> 3, d - 1, -1):
+        c = e >> 8 * k & 7
         if c:
-            h = (h + (neg[c] << 8 * (k - n))) & full
-    sevens = _lane_mask(n, 7)
-    top = 8 * n
-    rows = []
-    for _ in range(n):
-        rows.append(h)
-        h <<= 8
-        h = (h + neg[h >> top]) & sevens
-    return rows
+            e = (e + ((8 - c) * p << 8 * (k - d))) & mask
+            q |= c << 8 * (k - d)
+    return q, e
+
+
+def _widen(x: int, w: int) -> int:
+    """Packed x with each 8-bit lane moved into a w-byte lane."""
+    out = bytearray(w * ((x.bit_length() + 7) >> 3))
+    out[::w] = x.to_bytes(len(out) // w, "little")
+    return int.from_bytes(out, "little")
+
+
+def _mul8(x: int, y: int, mask: int) -> int:
+    """Product of packed x and y, mod 8 in each lane.
+
+    Kronecker substitution: in w-byte lanes no product coefficient, at most
+    49 times the shorter length, reaches the next lane, and the low byte of
+    each wide lane is the coefficient mod 256.
+    """
+    lanes = (min(x.bit_length(), y.bit_length()) + 7) >> 3
+    w = 1 + (49 * lanes).bit_length() // 8
+    z = _widen(x, w) * _widen(y, w)
+    wide = z.to_bytes(w * -(-z.bit_length() // (8 * w)), "little")
+    return int.from_bytes(wide[::w], "little") & mask
+
+
+def _reverse(x: int, degree: int) -> int:
+    """x^degree x(1/x) for packed x of degree at most degree."""
+    return int.from_bytes(x.to_bytes(degree + 1, "little"), "big")
 
 
 def resultant_mod8_terms(f_terms, g_terms) -> int:
     """Resultant of monic f and g reduced into 0..7, each polynomial given
     as (exponent, coefficient) pairs with distinct exponents.
 
-    For monic f of degree n this is the determinant of multiplication by
-    g on (Z/8)[x]/(f), so it does not depend on how far g is padded.
-    f_terms must be a sequence; its highest exponent is the degree.
+    f_terms must be a sequence; its highest exponent is the degree n. For
+    monic f this is the product of g over the roots of f, so it does not
+    depend on how far g is padded, and it depends on g only mod f and mod 8.
+
+    Euclid on packed polynomials (see _pack), with a work list of pairs
+    (A, B), A monic of degree a, whose resultants multiply into the answer;
+    every step is exact mod 8 and lowers a:
+    - B is reduced mod A. For a <= 2 the closed forms B(-c0) and
+      b0^2 - c1 b0 b1 + c0 b1^2 end the pair. An all-even B gives
+      2^a times a resultant, 0 mod 8 for a >= 3.
+    - Odd leading coefficient l: lB is monic (l is its own inverse mod 8),
+      and res(A, B) = l^a (-1)^(a deg B) res(lB, A mod lB).
+    - Even leading coefficient: Hensel lifting from B = (B mod 2) * 1 mod 2
+      gives B = P U mod 8 with P monic of degree d = deg(B mod 2) and
+      U = 1 mod 2. res(A, P) continues as in the odd case. U(0) is odd, so
+      with U* and A* the reversals at degrees u = deg U and a and V the
+      monic U(0) U*, res(A, U) = U(0)^a res(V, A* mod V): the signs
+      (-1)^(au) of reversing both and of swapping cancel.
     """
     n, lead = max(f_terms, default=(0, 0))
     if lead != 1:
         raise ValueError("the mod-8 resultant needs a monic first argument")
-    return _det_mod8_packed(_multiplication_rows(_pack(f_terms), n, _pack(g_terms)), n)
+    g = _pack(g_terms)
+    lanes = max(n + 1, (g.bit_length() + 7) >> 3)
+    ones = _lane_mask(lanes, 1)
+    sevens = 7 * ones
+    eights = 8 * ones
+    out = 1
+    work = [(_pack(f_terms), n, g)]
+    while work:
+        a_poly, a, b = work.pop()
+        while a:
+            b = _divmod8(b, a_poly, a, sevens)[1]
+            if a <= 2:
+                b0 = b & 7
+                if a == 2:
+                    b1 = b >> 8 & 7
+                    b0 = b0 * b0 - (a_poly >> 8 & 7) * b0 * b1 + (a_poly & 7) * b1 * b1
+                out = out * b0 % 8
+                break
+            if not b & ones:
+                return 0
+            m = (b.bit_length() - 1) >> 3
+            d = ((b & ones).bit_length() - 1) >> 3
+            if d == m:
+                lc = b >> 8 * m & 7
+                out = out * (lc if a & 1 else 1) * (-1 if a & m & 1 else 1) % 8
+                a_poly, a, b = b * lc & sevens, m, a_poly
+                continue
+            p, u = b & ones, 1
+            for k in (1, 2):
+                e = (((b | eights) - _mul8(p, u, sevens)) & sevens) >> k
+                q, r = _divmod8(e, p, d, sevens)
+                p = (p + (r << k)) & sevens
+                u = (u + (q << k)) & sevens
+            u0 = u & 7
+            out = out * (u0 if a & 1 else 1) * (-1 if a & d & 1 else 1) % 8
+            work.append((_reverse(u, m - d) * u0 & sevens, m - d, _reverse(a_poly, a)))
+            a_poly, a, b = p, d, a_poly
+    return out
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -346,10 +412,31 @@ def _discriminant_degree(f: IntPoly) -> int:
     return n
 
 
+def _multiplication_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
+    """Rows x^j g mod f over Z, j = 0..n-1, for monic f of degree n: the
+    matrix of multiplication by g on Z[x]/(f), whose determinant is res(f, g)."""
+    n = f.degree
+    low = [(i, c) for i, c in enumerate(f.coeffs[:n]) if c]
+
+    def reduce(h: list[int]) -> list[int]:
+        for k in range(len(h) - 1, n - 1, -1):
+            c = h.pop()
+            if c:
+                for i, fi in low:
+                    h[k - n + i] -= c * fi
+        return h + [0] * (n - len(h))
+
+    rows = [reduce(list(g.coeffs))]
+    for _ in range(n - 1):
+        rows.append(reduce([0, *rows[-1]]))
+    return IntMatrix.from_rows(rows)
+
+
 def discriminant_int(f: IntPoly) -> int:
-    """Discriminant of monic f, degree >= 2: (-1)^(n(n-1)/2) res(f, f')."""
+    """Discriminant of monic f, degree >= 2: (-1)^(n(n-1)/2) res(f, f'),
+    with res(f, f') taken exactly on the n x n multiplication matrix."""
     n = _discriminant_degree(f)
-    r = resultant(f, f.derivative())
+    r = det_exact(_multiplication_matrix(f, f.derivative()))
     return -r if (n * (n - 1) // 2) % 2 else r
 
 

@@ -394,6 +394,18 @@ _CHECKERS = {"D": check_d, "L1a": check_l1, "L1b": check_l1,
 _L1_PAIRS = ((5, 1), (8, 2), (12, 3), (16, 3))
 _GENERAL_DEGREES = (5, 7, 9, 11)
 
+# the largest matrix a campaign builds, as its side: the matrix itself for
+# D, L2 and GENERAL, the Sylvester matrix for L1. Every check runs
+# det_exact on it, which takes about 0.3 s per check at side 200 and
+# grows as the cube of the side.
+MAX_SIDE = 200
+
+
+def _check_side(lemma_id: str, side: int) -> None:
+    if side > MAX_SIDE:
+        raise ValueError(
+            f"{lemma_id} instance has matrix side {side}, above the maximum of {MAX_SIDE}")
+
 
 def instance_seed(campaign_seed: int, label: str, index: int) -> int:
     """Stable per-instance seed derived from the campaign seed."""
@@ -408,7 +420,8 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
 
     D cycles sizes 2..8; L1 cycles (n, s) over the standard pairs unless
     pinned; L2 draws 0 <= m < n with m + n <= 12; GENERAL cycles odd
-    degrees 5, 7, 9, 11 unless pinned.
+    degrees 5, 7, 9, 11 unless pinned. Pins are refused above MAX_DEGREE,
+    and then where the matrix side exceeds MAX_SIDE.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id '{lemma_id}'")
@@ -418,19 +431,23 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
     seed = instance_seed(campaign_seed, lemma_id, index)
     if lemma_id == "D":
         size = m if m is not None else 2 + index % 7
+        _check_side(lemma_id, size)
         return gen_d_instance(seed, size)
     if lemma_id in ("L1a", "L1b"):
         if n is None or s is None:
             n, s = _L1_PAIRS[index % len(_L1_PAIRS)]
+        _check_side(lemma_id, n + s)
         return gen_l1_instance(seed, "a" if lemma_id == "L1a" else "b", n, s)
     if lemma_id == "L2":
         if m is None or n is None:
             rng = random.Random(seed ^ 0x5F5F)
             n = rng.randint(1, 11)
             m = rng.randint(0, min(n - 1, 12 - n))
+        _check_side(lemma_id, m + n)
         return gen_l2_matrix(seed, m, n)
     if n is None:
         n = _GENERAL_DEGREES[index % len(_GENERAL_DEGREES)]
+    _check_side(lemma_id, 2 * n - 4)
     return gen_general_matrix(seed, n)
 
 

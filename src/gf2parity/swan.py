@@ -17,10 +17,11 @@ for n = +-3. verify_theorem_instance checks the full identity chain on
 concrete instances and reports the outcome.
 
 The mod-8 path builds no integer polynomial. F, F' and G go to
-intres.resultant_mod8_terms as (exponent, coefficient) pairs read off
-the support: F is 1 at each exponent e of f, F' is e at e - 1, and G is
-n^2 at 0 and n(n - i) at each i in S. lift_01 builds the IntPoly that
-the exact discriminant needs.
+intres.resultant_mod8_terms, a Euclid remainder sequence on packed Z/8
+polynomials, as (exponent, coefficient) pairs read off the support: F is
+1 at each exponent e of f, F' is e at e - 1, and G is n^2 at 0 and
+n(n - i) at each i in S. lift_01 builds the IntPoly that the exact
+discriminant needs.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import pytest
 import gf2parity
 from gf2parity.cli import main
 from gf2parity.gf2poly import MAX_DEGREE, parse_poly
-from gf2parity.lemma_lab import build_instance, write_replay
+from gf2parity.lemma_lab import MAX_SIDE, build_instance, write_replay
 
 
 def run(capsys, args):
@@ -246,6 +246,21 @@ def test_lemma_fuzz_sizes_refused_before_allocation(args, size):
                           preexec_fn=_limit_address_space, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", f"error: degree {size} is above the maximum of {MAX_DEGREE}\n")
+
+
+@pytest.mark.parametrize("args, lemma, side", [
+    (["--lemma", "general", "--n", str(MAX_DEGREE)], "GENERAL", 2 * MAX_DEGREE - 4),
+    (["--lemma", "general", "--n", "103"], "GENERAL", 202),
+    (["--lemma", "d", "--m", str(MAX_DEGREE)], "D", MAX_DEGREE),
+    (["--lemma", "l1b", "--n", "199", "--s", "2"], "L1b", 201),
+    (["--lemma", "l2", "--n", "150", "--m", "100"], "L2", 250),
+])
+def test_lemma_fuzz_slow_sizes_refused(capsys, args, lemma, side):
+    # sizes under the degree cap whose det_exact check would run for seconds
+    # to minutes per trial
+    assert run(capsys, [*FUZZ, *args]) == (
+        1, "", f"error: {lemma} instance has matrix side {side}, "
+               f"above the maximum of {MAX_SIDE}\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -220,6 +220,113 @@ def test_resultant_mod8_terms_matches_exact():
             resultant_mod8_terms(f_terms, [(0, 1)])
 
 
+# Each case below is built so that the first Euclid step of
+# resultant_mod8_terms takes one branch: g has degree below deg f, so
+# reducing it mod f changes nothing, and its lanes mod 8 decide the branch.
+
+def _monic_terms(rng, a):
+    return [(i, rng.randint(-9, 9)) for i in range(a)] + [(a, 1)]
+
+
+def _even(rng):
+    return 2 * rng.randint(-4, 4)
+
+
+def _branch_g(rng, branch, a):
+    """Coefficients of g, lowest first, of degree m below a >= 3."""
+    m = rng.randint(2, a - 1)
+    if branch == "odd_lc":
+        return [rng.randint(-9, 9) for _ in range(m)] + [2 * rng.randint(-4, 4) + 1]
+    # an even leading coefficient: B = P U mod 8 with P = B mod 2 lifted
+    g = [_even(rng) for _ in range(m)] + [rng.choice((2, 4, 6))]
+    if branch == "split_unit_p":
+        g[0] += 1  # B = 1 mod 2, so P = 1
+    elif branch == "split_odd_constant":
+        d = rng.randint(1, m - 1)  # P of degree d with P(0) odd
+        g[0] += 1
+        g[d] += 1
+        for i in range(1, d):
+            g[i] += rng.randint(0, 1)
+    elif branch == "split_even_constant":
+        g[rng.randint(1, m - 1)] += 1  # P of positive degree with P(0) even
+    return g
+
+
+@pytest.mark.parametrize("branch", [
+    "odd_lc", "split_odd_constant", "split_unit_p", "split_even_constant"])
+def test_resultant_mod8_terms_branches(branch):
+    rng = random.Random(f"branch:{branch}")
+    for a in range(3, 41):
+        f_terms = _monic_terms(rng, a)
+        g = _branch_g(rng, branch, a)
+        g_terms = list(enumerate(g))
+        want = resultant(IntPoly.from_pairs(f_terms), IntPoly(g)) % 8
+        assert resultant_mod8_terms(f_terms, g_terms) == want, (f_terms, g)
+
+
+def test_resultant_mod8_terms_all_even_remainder():
+    # g = f + 2h reduces to the all-even 2h, and 2^a divides the resultant
+    rng = random.Random(83)
+    for a in range(3, 41):
+        f_terms = _monic_terms(rng, a)
+        f = IntPoly.from_pairs(f_terms)
+        g = f + IntPoly([_even(rng) for _ in range(a)])
+        assert resultant_mod8_terms(f_terms, list(enumerate(g.coeffs))) == 0
+        assert resultant(f, g) % 8 == 0
+
+
+def test_resultant_mod8_terms_closed_forms():
+    # deg f <= 2 ends in b(-c0) or b0^2 - c1 b0 b1 + c0 b1^2, g of any degree
+    rng = random.Random(89)
+    for _ in range(200):
+        a = rng.randint(0, 2)
+        f_terms = _monic_terms(rng, a)
+        g = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 9))])
+        if g.is_zero:
+            continue
+        want = resultant(IntPoly.from_pairs(f_terms), g) % 8
+        assert resultant_mod8_terms(f_terms, list(enumerate(g.coeffs))) == want
+
+
+def test_resultant_mod8_terms_zero_g():
+    # g = 0 at any declared degree: 1 for constant f, else 0
+    for a in range(0, 41):
+        f = IntPoly([1] * (a + 1))
+        got = resultant_mod8_terms(tuple(enumerate(f.coeffs)), [])
+        assert got == (1 if a == 0 else 0)
+        for declared in (0, 1, a + 3):
+            g = IntPoly([], declared_degree=declared)
+            assert resultant_mod8(f, g) == resultant(f, g) % 8 == got
+
+
+def _mod8_multiplication_rows(f_coeffs, g_coeffs):
+    """Rows x^j g mod f with entries in 0..7, for monic f given lowest first."""
+    n = len(f_coeffs) - 1
+    h = [c % 8 for c in g_coeffs]
+    rows = []
+    for _ in range(n):
+        for k in range(len(h) - 1, n - 1, -1):
+            c = h.pop()
+            for i in range(n):
+                h[k - n + i] = (h[k - n + i] - c * f_coeffs[i]) % 8
+        h += [0] * (n - len(h))
+        rows.append(h)
+        h = [0, *h]
+    return rows
+
+
+def test_resultant_mod8_terms_dense_even_heavy_at_the_cap():
+    # degree 511 with mostly even coefficients drives many Hensel splits; the
+    # work list keeps the call stack flat, and the mod-8 elimination of the
+    # 511 x 511 multiplication matrix gives the same value
+    rng = random.Random(97)
+    for _ in range(2):
+        f = [rng.choice((0, 2, 4, 6, 1)) for _ in range(511)] + [1]
+        g = [rng.choice((0, 2, 4, 6, 1, 3)) for _ in range(511)]
+        got = resultant_mod8_terms(tuple(enumerate(f)), enumerate(g))
+        assert got == det_mod8(IntMatrix.from_rows(_mod8_multiplication_rows(f, g)))
+
+
 def test_r1_reduction_invariance():
     # monic f: R(f, g) = R(f, g - q f) for any integer polynomial q
     rng = random.Random(47)
@@ -294,6 +401,19 @@ def test_squarefree_lift_discriminant_in_1_5():
         f = BitPoly(bits)
         assert is_squarefree(f)
         assert int(discriminant_mod8(lift_01(f))) in (1, 5)
+
+
+def test_discriminant_int_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(101)
+    for n in (13, 29, 47, 80):
+        f = rand_monic(rng, n, lo=-3, hi=3)
+        F = sympy.Poly(list(reversed(f.coeffs)), x)
+        assert discriminant_int(f) == sympy.discriminant(F), f
+        lifted = lift_01(BitPoly(helpers.random_bits(rng, n)))
+        F = sympy.Poly(list(reversed(lifted.coeffs)), x)
+        assert discriminant_int(lifted) == sympy.discriminant(F), lifted
 
 
 def test_discriminant_mod8_matches_sympy_above_oracle_cap():

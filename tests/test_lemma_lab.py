@@ -250,6 +250,14 @@ def test_build_instance_refuses_sizes_above_the_cap(pin):
         build_instance("D", 0, 0, **{pin: MAX_DEGREE + 1})
 
 
+def test_build_instance_bounds_the_matrix_side():
+    # the refusal for every lemma id is in test_cli.py; this is the boundary
+    side = lemma_lab.MAX_SIDE
+    assert build_instance("D", 0, 0, m=side).matrix.n_rows == side
+    with pytest.raises(ValueError, match=f"D instance has matrix side {side + 1}, above"):
+        build_instance("D", 0, 0, m=side + 1)
+
+
 def test_build_instance_rejects_unknown_lemma():
     with pytest.raises(ValueError):
         build_instance("L9", 0, 0)

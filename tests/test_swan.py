@@ -68,6 +68,17 @@ def test_stickelberger_matches_count_parity():
         assert stickelberger_parity(f) == want, hex(bits)
 
 
+@pytest.mark.parametrize("degree", [127, 255, 511])
+def test_stickelberger_matches_berlekamp_at_large_degree(degree):
+    # Stickelberger's theorem makes the Berlekamp count an exact check of
+    # the mod-8 discriminant above the oracles' degree-12 cap
+    rng = random.Random(degree)
+    for _ in range(20):
+        f = BitPoly(helpers.random_squarefree_bits(rng, degree))
+        t = count_distinct_irreducible_factors(f)
+        assert stickelberger_parity(f) == (ODD if t % 2 else EVEN), hex(f.bits)
+
+
 # -- support validation and the predictor --------------------------------------
 
 def test_validate_support_examples():
