@@ -22,11 +22,8 @@ from .gf2poly import (
 )
 from .intres import (
     IntMatrix,
-    IntPoly,
     det_exact,
-    det_mod8,
     discriminant_int,
-    discriminant_mod8,
     resultant,
     resultant_mod8,
     sylvester,
@@ -47,6 +44,7 @@ from .search import (
 from .swan import (
     ParityReport,
     SupportSpec,
+    discriminant_mod8,
     parse_support_spec,
     stickelberger_parity,
     theorem_parity,
@@ -61,7 +59,6 @@ __all__ = [
     "BitPoly",
     "HypothesisViolation",
     "IntMatrix",
-    "IntPoly",
     "LemmaInstance",
     "ParityReport",
     "PolyParseError",
@@ -74,7 +71,6 @@ __all__ = [
     "count_distinct_irreducible_factors",
     "count_factors_with_multiplicity",
     "det_exact",
-    "det_mod8",
     "discriminant_int",
     "discriminant_mod8",
     "enumerate_candidates",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 from . import gf2poly
@@ -239,10 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs about as much as a whole parity
+# query, and parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit 2 for usage errors; the contract reserves 2
         # for violations, so usage problems map to 1 (help stays 0)

@@ -1,10 +1,11 @@
-"""Exact integer resultants, discriminants, and their residues mod 8.
+"""Exact integer resultants, discriminants, and resultants mod 8.
 
-Polynomials live over Z with arbitrary precision coefficients. The exact
-resultant is the determinant of the Sylvester matrix, computed by
-fraction-free (Bareiss) elimination; the exact discriminant of a monic f
-runs the same elimination on the n x n matrix of multiplication by f'
-on Z[x]/(f), whose determinant is res(f, f').
+An integer polynomial is a list of int coefficients, lowest first, whose
+length minus one is its degree in the Sylvester layout: trailing zeros
+are zero-padding. The exact resultant is the determinant of the Sylvester
+matrix, computed by fraction-free (Bareiss) elimination; the exact
+discriminant of a monic f runs the same elimination on the n x n matrix
+of multiplication by f' on Z[x]/(f), whose determinant is res(f, f').
 
 The mod-8 resultant of a monic f and any g is a Euclid-style remainder
 sequence on polynomials packed into one int each, one coefficient per
@@ -13,177 +14,62 @@ coefficient cannot be made monic; it is split instead by 2-adic Hensel
 lifting into a monic factor and a factor that is 1 mod 2, and the
 resultant against the latter is taken on the reversed polynomials, where
 it becomes monic (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 6 and 15). resultant_mod8_terms is the one mod-8 entry: it takes both
-polynomials as (exponent, coefficient) pairs, and the IntPoly functions
-call it. det_mod8 eliminates an explicit matrix over Z/8 with odd pivots.
-
-Leading zero coefficients are representable only through an explicitly
-declared degree, which is the padding device used for resultants of a
-monic polynomial against a shorter second argument.
+ch. 6 and 15). resultant_mod8 takes both polynomials as (exponent,
+coefficient) pairs, so sparse polynomials need no dense list.
 """
 
 from __future__ import annotations
 
 
-class IntPoly:
-    """Integer polynomial; coeffs[i] is the coefficient of x^i.
-
-    Trailing zero coefficients are stripped, so the stored tuple ends at
-    the true leading term. declared_degree, when given, must be at least
-    the actual degree and marks the polynomial as zero-padded up to that
-    degree for Sylvester matrix construction.
-    """
-
-    __slots__ = ("coeffs", "declared_degree")
-
-    def __init__(self, coeffs=(), declared_degree: int | None = None):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        if declared_degree is not None:
-            if declared_degree < 0:
-                raise ValueError("declared degree must be nonnegative")
-            if cs and declared_degree < len(cs) - 1:
-                raise ValueError(
-                    f"declared degree {declared_degree} is below the actual degree {len(cs) - 1}")
-        self.declared_degree = declared_degree
-
-    @classmethod
-    def from_pairs(cls, pairs, declared_degree: int | None = None) -> IntPoly:
-        """Build from (degree, coefficient) pairs."""
-        pairs = list(pairs)
-        size = max((d for d, _ in pairs), default=-1) + 1
-        cs = [0] * size
-        for d, c in pairs:
-            if d < 0:
-                raise ValueError(f"negative degree {d}")
-            if cs[d] != 0:
-                raise ValueError(f"duplicate degree {d}")
-            cs[d] = int(c)
-        return cls(cs, declared_degree)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Actual degree; the zero polynomial has none."""
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
-
-    @property
-    def effective_degree(self) -> int:
-        """Declared degree when set, else the actual degree."""
-        if self.declared_degree is not None:
-            return self.declared_degree
-        return self.degree
-
-    def coeff(self, i: int) -> int:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def derivative(self) -> IntPoly:
-        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i)
-
-    def __add__(self, other: IntPoly) -> IntPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self.coeff(i) + other.coeff(i) for i in range(n))
-
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self.coeff(i) - other.coeff(i) for i in range(n))
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other: IntPoly) -> IntPoly:
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPoly", self.coeffs))
-
-    def __repr__(self) -> str:
-        if self.declared_degree is not None:
-            return f"IntPoly({list(self.coeffs)}, declared_degree={self.declared_degree})"
-        return f"IntPoly({list(self.coeffs)})"
-
-
 class IntMatrix:
-    """Dense integer matrix stored row-major."""
+    """Dense integer matrix held as its rows."""
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+    __slots__ = ("rows", "n_rows", "n_cols")
 
-    def __init__(self, n_rows: int, n_cols: int, entries):
-        es = tuple(int(e) for e in entries)
-        if len(es) != n_rows * n_cols:
-            raise ValueError("entry count does not match the shape")
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.entries = es
-
-    @classmethod
-    def from_rows(cls, rows) -> IntMatrix:
-        rows = [list(r) for r in rows]
-        n_cols = len(rows[0]) if rows else 0
-        if any(len(r) != n_cols for r in rows):
+    def __init__(self, rows):
+        self.rows = [list(r) for r in rows]
+        self.n_rows = len(self.rows)
+        self.n_cols = len(self.rows[0]) if self.rows else 0
+        if any(len(r) != self.n_cols for r in self.rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), n_cols, [e for r in rows for e in r])
-
-    def to_rows(self) -> list[list[int]]:
-        c = self.n_cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.n_rows)]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix) and self.n_rows == other.n_rows
-                and self.n_cols == other.n_cols and self.entries == other.entries)
+        return isinstance(other, IntMatrix) and self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.n_rows}x{self.n_cols})"
 
 
-def sylvester(f: IntPoly, g: IntPoly) -> IntMatrix:
+def sylvester(f: list[int], g: list[int]) -> IntMatrix:
     """Sylvester matrix of (f, g), f-coefficient rows above g-coefficient rows.
 
-    With n = deg f and m the effective degree of g, the matrix is
+    f and g are coefficient lists, lowest first, and n = len(f) - 1 and
+    m = len(g) - 1 are their degrees in the layout. The matrix is
     (n+m) x (n+m): m rows carry the coefficients of f from the leading
     term down, each shifted one column right of the previous, then n rows
-    carry those of g likewise. Zero-padding of g (a declared degree above
-    the actual one, equivalently a vanishing leading entry) is allowed
-    only when f is monic, where it provably leaves the determinant alone.
+    carry those of g likewise. Trailing zeros of g zero-pad it; that is
+    allowed only when f is monic, where it provably leaves the
+    determinant alone.
     """
-    if f.is_zero and f.declared_degree is None:
+    if not f:
         raise ValueError("zero polynomial on the first argument")
-    n = f.effective_degree
-    a = [f.coeff(n - j) for j in range(n + 1)]
-    if a[0] == 0:
+    if f[-1] == 0:
         raise ValueError("first argument has a zero leading coefficient")
-    if g.is_zero and g.declared_degree is None:
-        raise ValueError("zero second argument needs a declared degree")
-    m = g.effective_degree
-    b = [g.coeff(m - j) for j in range(m + 1)]
-    if b[0] == 0 and a[0] != 1:
+    if not g:
+        raise ValueError("the second argument needs at least one coefficient")
+    if g[-1] == 0 and f[-1] != 1:
         raise ValueError("zero-padding the second argument requires a monic first argument")
+    n = len(f) - 1
+    m = len(g) - 1
+    a = list(reversed(f))
+    b = list(reversed(g))
     size = n + m
     rows = []
     for k in range(m):
         rows.append([0] * k + a + [0] * (size - k - n - 1))
     for k in range(n):
         rows.append([0] * k + b + [0] * (size - k - m - 1))
-    return IntMatrix.from_rows(rows) if size else IntMatrix(0, 0, ())
+    return IntMatrix(rows)
 
 
 def det_exact(m: IntMatrix) -> int:
@@ -197,7 +83,7 @@ def det_exact(m: IntMatrix) -> int:
     n = m.n_rows
     if n == 0:
         return 1
-    a = m.to_rows()
+    a = [r[:] for r in m.rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -225,58 +111,6 @@ def _pack(terms) -> int:
     """(index, entry) pairs with distinct indices, each entry reduced mod 8
     into the 8-bit lane of its index; lane 0 is the lowest byte."""
     return sum((c % 8) << 8 * e for e, c in terms)
-
-
-def _lane_mask(n: int, value: int) -> int:
-    return value * int.from_bytes(b"\x01" * n, "little")
-
-
-def det_mod8(m: IntMatrix) -> int:
-    """Determinant reduced into 0..7, with rows packed as in _pack.
-
-    Full pivoting on odd entries: the pivot row is the first remaining
-    row with an odd lane, the pivot column its lowest odd lane. An odd p
-    is its own inverse mod 8, so the pivot row scaled by p has a 1 in the
-    pivot column, and adding (8 - e) times it clears an entry e from the
-    other remaining rows; lanes stay at most 7 + 7 * 7 < 256, so no carry
-    crosses a lane. Each pivot enters the product with the sign of the k + j
-    adjacent swaps that would move it to the front of the remaining rows
-    and columns. When the remaining s x s minor has no odd entry it is
-    all even, so its determinant is 0 mod 8 for s >= 3 and is taken
-    directly for s <= 2.
-    """
-    if m.n_rows != m.n_cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.n_rows
-    ones = _lane_mask(n, 1)
-    sevens = 7 * ones
-    rest = [_pack(enumerate(m.entries[i * n:(i + 1) * n])) for i in range(n)]
-    free = list(range(n))  # columns not yet pivoted, ascending
-    det = 1
-    while True:
-        k = next((k for k, r in enumerate(rest) if r & ones), None)
-        if k is None:
-            break
-        r = rest.pop(k)
-        odd = r & ones
-        shift = (odd & -odd).bit_length() - 1
-        j = free.index(shift >> 3)
-        del free[j]
-        p = r >> shift & 7
-        det = det * (-p if (k + j) % 2 else p) % 8
-        unit = r * p & sevens
-        for i, s in enumerate(rest):
-            e = s >> shift & 7
-            if e:
-                rest[i] = (s + unit * (8 - e)) & sevens
-    if len(rest) >= 3:
-        return 0
-    minor = [[r >> 8 * c & 7 for c in free] for r in rest]
-    if len(minor) == 2:
-        det *= minor[0][0] * minor[1][1] - minor[0][1] * minor[1][0]
-    elif minor:
-        det *= minor[0][0]
-    return det % 8
 
 
 def _divmod8(e: int, p: int, d: int, mask: int) -> tuple[int, int]:
@@ -321,7 +155,7 @@ def _reverse(x: int, degree: int) -> int:
     return int.from_bytes(x.to_bytes(degree + 1, "little"), "big")
 
 
-def resultant_mod8_terms(f_terms, g_terms) -> int:
+def resultant_mod8(f_terms, g_terms) -> int:
     """Resultant of monic f and g reduced into 0..7, each polynomial given
     as (exponent, coefficient) pairs with distinct exponents.
 
@@ -349,7 +183,7 @@ def resultant_mod8_terms(f_terms, g_terms) -> int:
         raise ValueError("the mod-8 resultant needs a monic first argument")
     g = _pack(g_terms)
     lanes = max(n + 1, (g.bit_length() + 7) >> 3)
-    ones = _lane_mask(lanes, 1)
+    ones = int.from_bytes(b"\x01" * lanes, "little")
     sevens = 7 * ones
     eights = 8 * ones
     out = 1
@@ -387,36 +221,16 @@ def resultant_mod8_terms(f_terms, g_terms) -> int:
     return out
 
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Exact resultant of f and g."""
+def resultant(f: list[int], g: list[int]) -> int:
+    """Exact resultant of coefficient lists f and g, laid out as in sylvester."""
     return det_exact(sylvester(f, g))
 
 
-def resultant_mod8(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of monic f and g reduced into 0..7.
-
-    For monic f of degree n this is the determinant of multiplication by
-    g on (Z/8)[x]/(f), so it does not depend on how far g is padded.
-    """
-    if g.is_zero and g.declared_degree is None:
-        raise ValueError("zero second argument needs a declared degree")
-    return resultant_mod8_terms(tuple(enumerate(f.coeffs)), enumerate(g.coeffs))
-
-
-def _discriminant_degree(f: IntPoly) -> int:
-    n = f.degree if not f.is_zero else -1
-    if n < 2:
-        raise ValueError("discriminant needs degree at least 2")
-    if f.coeff(n) != 1:
-        raise ValueError("discriminant is implemented for monic polynomials")
-    return n
-
-
-def _multiplication_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
+def _multiplication_matrix(f: list[int], g: list[int]) -> IntMatrix:
     """Rows x^j g mod f over Z, j = 0..n-1, for monic f of degree n: the
     matrix of multiplication by g on Z[x]/(f), whose determinant is res(f, g)."""
-    n = f.degree
-    low = [(i, c) for i, c in enumerate(f.coeffs[:n]) if c]
+    n = len(f) - 1
+    low = [(i, c) for i, c in enumerate(f[:n]) if c]
 
     def reduce(h: list[int]) -> list[int]:
         for k in range(len(h) - 1, n - 1, -1):
@@ -426,22 +240,19 @@ def _multiplication_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
                     h[k - n + i] -= c * fi
         return h + [0] * (n - len(h))
 
-    rows = [reduce(list(g.coeffs))]
+    rows = [reduce(list(g))]
     for _ in range(n - 1):
         rows.append(reduce([0, *rows[-1]]))
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
-def discriminant_int(f: IntPoly) -> int:
+def discriminant_int(f: list[int]) -> int:
     """Discriminant of monic f, degree >= 2: (-1)^(n(n-1)/2) res(f, f'),
     with res(f, f') taken exactly on the n x n multiplication matrix."""
-    n = _discriminant_degree(f)
-    r = det_exact(_multiplication_matrix(f, f.derivative()))
+    n = len(f) - 1
+    if n < 2:
+        raise ValueError("discriminant needs degree at least 2")
+    if f[n] != 1:
+        raise ValueError("discriminant is implemented for monic polynomials")
+    r = det_exact(_multiplication_matrix(f, [i * c for i, c in enumerate(f)][1:]))
     return -r if (n * (n - 1) // 2) % 2 else r
-
-
-def discriminant_mod8(f: IntPoly) -> int:
-    """Discriminant of monic f reduced into 0..7."""
-    n = _discriminant_degree(f)
-    r = resultant_mod8(f, f.derivative())
-    return -r % 8 if (n * (n - 1) // 2) % 2 else r

@@ -19,8 +19,13 @@ Lemma ids:
 * GENERAL: the (m+n) x (m+n) shape with m = n - 4, s = (n-1)//3 and the
   offset-based congruence ladder; determinant = 1 mod 8.
 
-Entry distributions are uniform over the residues a slot admits, with
-zero weighted to one half so that sparse and dense instances both occur.
+Matrices are intres.IntMatrix with entries in 0..7 and polynomials are
+coefficient tuples, lowest first; every check ends in intres.det_exact,
+the independent exact determinant. Entry distributions are uniform over
+the residues a slot admits, with zero weighted to one half so that
+sparse and dense instances both occur. A replay file is outside input:
+LemmaInstance.from_json checks its shape and entries and holds it to the
+bounds of generated instances.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from pathlib import Path
 
 from . import gf2poly
 from . import intres
-from .intres import IntMatrix, IntPoly
+from .intres import IntMatrix
 from .pool import map_in_pool, pool_size
 
 LEMMA_IDS = ("D", "L1a", "L1b", "L2", "GENERAL")
@@ -47,29 +52,6 @@ class HypothesisViolation(ValueError):
     """An instance fails the lemma hypotheses; not a counterexample."""
 
 
-@dataclass(frozen=True)
-class Mod8Matrix:
-    """Rectangular matrix with entries in 0..7."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        if any(not 0 <= e < 8 for r in self.rows for e in r):
-            raise ValueError("entries must lie in 0..7")
-        object.__setattr__(self, "rows", tuple(tuple(int(e) for e in r) for r in self.rows))
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
 @dataclass
 class LemmaInstance:
     """One generated instance: the lemma, its sizes, seed, and payload."""
@@ -77,7 +59,7 @@ class LemmaInstance:
     lemma_id: str
     params: dict
     seed: int
-    matrix: Mod8Matrix | None = None
+    matrix: IntMatrix | None = None
     polys: dict[str, tuple[int, ...]] = field(default_factory=dict)
     notes: str = ""
 
@@ -92,11 +74,39 @@ class LemmaInstance:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> LemmaInstance:
-        matrix = Mod8Matrix(tuple(map(tuple, data["matrix"]))) if "matrix" in data else None
-        polys = {k: tuple(v) for k, v in data.get("polys", {}).items()}
-        return cls(data["lemma_id"], dict(data["params"]), int(data["seed"]),
-                   matrix, polys, data.get("notes", ""))
+    def from_json(cls, data) -> LemmaInstance:
+        """Read back a replay file's object, which is outside input.
+
+        It must name a lemma and hold an integer seed, the integer sizes its
+        checker reads, matrix entries in 0..7 and integer coefficients; the
+        sizes are held to MAX_DEGREE and the matrix side to MAX_SIDE, as for
+        generated instances. Anything else raises ValueError.
+        """
+        if not (isinstance(data, dict) and isinstance(data.get("params"), dict)
+                and type(data.get("seed")) is int):
+            raise ValueError("a replay is an object with lemma_id, params and an integer seed")
+        lemma_id, params = data.get("lemma_id"), data["params"]
+        if lemma_id not in LEMMA_IDS:
+            raise ValueError(f"unknown lemma id '{lemma_id}'")
+        # the sizes the checker reads: its pins, but none for D
+        sizes = [] if lemma_id == "D" else [params.get(k) for k in _PINS[lemma_id]]
+        if not all(type(v) is int for v in sizes):
+            raise ValueError(f"{lemma_id} replay params need integers {', '.join(_PINS[lemma_id])}")
+        for size in sizes:
+            gf2poly.check_degree(size)
+        rows = data.get("matrix", [])
+        if not (isinstance(rows, list) and all(
+                isinstance(r, list) and all(type(e) is int and 0 <= e < 8 for e in r)
+                for r in rows)):
+            raise ValueError("the replay matrix must be rows of integers in 0..7")
+        _check_side(lemma_id, sum(sizes) if lemma_id in ("L1a", "L1b") else len(rows))
+        polys = data.get("polys", {})
+        if not (isinstance(polys, dict) and all(
+                isinstance(v, list) and all(type(c) is int for c in v) for v in polys.values())):
+            raise ValueError("the replay polys must be lists of integer coefficients")
+        return cls(lemma_id, dict(params), data["seed"],
+                   IntMatrix(rows) if "matrix" in data else None,
+                   {k: tuple(v) for k, v in polys.items()}, data.get("notes", ""))
 
 
 def _draw(rng: random.Random, choices) -> int:
@@ -114,8 +124,9 @@ def _draw_coeff(rng: random.Random) -> int:
     return _draw(rng, range(-4, 4))
 
 
-def _det_mod8_rows(rows) -> int:
-    return intres.det_exact(IntMatrix.from_rows(rows)) % 8
+def _degree(coeffs) -> int:
+    """Degree of a coefficient list, lowest first, trailing zeros aside; -1 for 0."""
+    return max((i for i, c in enumerate(coeffs) if c), default=-1)
 
 
 # -- D: diagonal-dominant product lemma --------------------------------------
@@ -135,7 +146,7 @@ def gen_d_instance(seed: int, size: int) -> LemmaInstance:
             if rng.random() < 0.5:
                 a, b = b, a
             rows[i][j], rows[j][i] = a, b
-    return LemmaInstance("D", {"size": size}, seed, Mod8Matrix(tuple(map(tuple, rows))))
+    return LemmaInstance("D", {"size": size}, seed, IntMatrix(rows))
 
 
 def check_d(instance: LemmaInstance) -> bool:
@@ -156,7 +167,7 @@ def check_d(instance: LemmaInstance) -> bool:
     prod = 1
     for i in range(n):
         prod = prod * rows[i][i] % 8
-    return _det_mod8_rows(rows) == prod
+    return intres.det_exact(m) % 8 == prod
 
 
 # -- L1: unit resultants against 2H+1 and 4H+1 -------------------------------
@@ -179,21 +190,26 @@ def gen_l1_instance(seed: int, variant: str, n: int, s: int) -> LemmaInstance:
                          {"n": n, "s": s, "variant": variant}, seed, None, polys)
 
 
-def l1_pair(instance: LemmaInstance) -> tuple[IntPoly, IntPoly]:
-    """Assemble the (f, g) resultant pair from the stored pieces."""
+def l1_pair(instance: LemmaInstance) -> tuple[list[int], list[int]]:
+    """The (f, g) resultant pair as coefficient lists, lowest first.
+
+    f = x^n + 4 F0 + 2 F1 + F2 and g = 2H + 1 for L1a, f = x^n + 2 F0 + F1
+    and g = 4H + 1 for L1b; each F_k has degree at most n and H is
+    nonzero, as check_l1 makes sure.
+    """
     n = instance.params["n"]
-    variant = instance.params["variant"]
-    xn = IntPoly.from_pairs([(n, 1)])
-    h = IntPoly(instance.polys["h"])
-    fs = [IntPoly(instance.polys.get(f"f{k}", ())) for k in range(3)]
-    two = IntPoly([2])
-    four = IntPoly([4])
-    if variant == "a":
-        f = xn + four * fs[0] + two * fs[1] + fs[2]
-        g = two * h + IntPoly([1])
+    if instance.lemma_id == "L1a":
+        scales, h_scale = (4, 2, 1), 2
     else:
-        f = xn + two * fs[0] + fs[1]
-        g = four * h + IntPoly([1])
+        scales, h_scale = (2, 1), 4
+    f = [0] * n + [1]
+    for k, scale in enumerate(scales):
+        for i, c in enumerate(instance.polys.get(f"f{k}", ())):
+            if c:
+                f[i] += scale * c
+    h = instance.polys["h"]
+    g = [h_scale * c for c in h[:_degree(h) + 1]]
+    g[0] += 1
     return f, g
 
 
@@ -201,19 +217,18 @@ def check_l1(instance: LemmaInstance) -> bool:
     """Re-check shapes and degree bounds, then test res(f, g) = 1 mod 8."""
     n = instance.params["n"]
     s = instance.params["s"]
-    variant = instance.params["variant"]
     if n <= 1 or s < 1:
         raise HypothesisViolation("needs n > 1 and s >= 1")
-    h = IntPoly(instance.polys["h"])
-    if h.is_zero or h.coeff(0) != 0:
+    h = instance.polys.get("h", ())
+    if not any(h) or h[0] != 0:
         raise HypothesisViolation("H must be divisible by x")
-    if h.degree != s:
-        raise HypothesisViolation(f"deg H = {h.degree}, hypotheses want exactly {s}")
-    count = 3 if variant == "a" else 2
+    if _degree(h) != s:
+        raise HypothesisViolation(f"deg H = {_degree(h)}, hypotheses want exactly {s}")
+    count = 3 if instance.lemma_id == "L1a" else 2
     for k in range(count):
-        fk = IntPoly(instance.polys.get(f"f{k}", ()))
-        if not fk.is_zero and fk.degree >= n - k * s:
-            raise HypothesisViolation(f"deg F{k} = {fk.degree} breaks deg < {n - k * s}")
+        d = _degree(instance.polys.get(f"f{k}", ()))
+        if d >= max(n - k * s, 0):
+            raise HypothesisViolation(f"deg F{k} = {d} breaks deg < {n - k * s}")
     f, g = l1_pair(instance)
     return intres.resultant(f, g) % 8 == 1
 
@@ -244,7 +259,7 @@ def gen_l2_matrix(seed: int, m: int, n: int) -> LemmaInstance:
         for l in range(n):
             if l != k:
                 rows[m + k][m + l] = _draw(rng, MULT4_RESIDUES)
-    return LemmaInstance("L2", {"m": m, "n": n}, seed, Mod8Matrix(tuple(map(tuple, rows))))
+    return LemmaInstance("L2", {"m": m, "n": n}, seed, IntMatrix(rows))
 
 
 def check_l2(instance: LemmaInstance) -> bool:
@@ -287,7 +302,7 @@ def check_l2(instance: LemmaInstance) -> bool:
         for l in range(n):
             if k != l and rows[m + k][m + l] % 4:
                 raise HypothesisViolation(f"D entry ({k},{l}) must be 0 mod 4")
-    return _det_mod8_rows(rows) == 1
+    return intres.det_exact(mat) % 8 == 1
 
 
 # -- GENERAL: the offset congruence ladder ------------------------------------
@@ -343,7 +358,7 @@ def gen_general_matrix(seed: int, n: int) -> LemmaInstance:
             choices = _y_admissible(k, r + 1, m, n, s)
             rows[m + r][j] = choices[0] if len(choices) == 1 else _draw(rng, choices)
     return LemmaInstance(
-        "GENERAL", {"n": n, "m": m, "s": s}, seed, Mod8Matrix(tuple(map(tuple, rows))),
+        "GENERAL", {"n": n, "m": m, "s": s}, seed, IntMatrix(rows),
         notes="column offset m is the unit diagonal; the congruence ladder does not apply there")
 
 
@@ -383,7 +398,7 @@ def check_general(instance: LemmaInstance) -> bool:
     problems = general_hypothesis_violations(mat.rows, n)
     if problems:
         raise HypothesisViolation("; ".join(problems[:3]))
-    return _det_mod8_rows(mat.rows) == 1
+    return intres.det_exact(mat) % 8 == 1
 
 
 # -- campaign driver -----------------------------------------------------------
@@ -392,6 +407,10 @@ _CHECKERS = {"D": check_d, "L1a": check_l1, "L1b": check_l1,
              "L2": check_l2, "GENERAL": check_general}
 
 _L1_PAIRS = ((5, 1), (8, 2), (12, 3), (16, 3))
+
+# the size pins each lemma takes, all of them or none
+_PINS = {"D": ("m",), "L1a": ("n", "s"), "L1b": ("n", "s"), "L2": ("m", "n"),
+         "GENERAL": ("n",)}
 _GENERAL_DEGREES = (5, 7, 9, 11)
 
 # the largest matrix a campaign builds, as its side: the matrix itself for
@@ -418,28 +437,33 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
                    m: int | None = None) -> LemmaInstance:
     """Instance number index of a campaign, sized by the default schedule.
 
-    D cycles sizes 2..8; L1 cycles (n, s) over the standard pairs unless
-    pinned; L2 draws 0 <= m < n with m + n <= 12; GENERAL cycles odd
-    degrees 5, 7, 9, 11 unless pinned. Pins are refused above MAX_DEGREE,
-    and then where the matrix side exceeds MAX_SIDE.
+    D cycles sizes 2..8 unless m pins it; L1 cycles (n, s) over the
+    standard pairs unless both are pinned; L2 draws 0 <= m < n with
+    m + n <= 12 unless both are pinned; GENERAL cycles odd degrees 5, 7,
+    9, 11 unless n pins it. Pins are refused above MAX_DEGREE, then when
+    they are not the lemma's whole set of pins (see _PINS), then where
+    the matrix side exceeds MAX_SIDE.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id '{lemma_id}'")
-    for size in (n, s, m):
-        if size is not None:
-            gf2poly.check_degree(size)
+    pins = {k: v for k, v in (("n", n), ("s", s), ("m", m)) if v is not None}
+    for size in pins.values():
+        gf2poly.check_degree(size)
+    if pins and set(pins) != set(_PINS[lemma_id]):
+        raise ValueError(f"{lemma_id} is pinned by all of {{{', '.join(_PINS[lemma_id])}}} "
+                         f"or none, got {{{', '.join(sorted(pins))}}}")
     seed = instance_seed(campaign_seed, lemma_id, index)
     if lemma_id == "D":
         size = m if m is not None else 2 + index % 7
         _check_side(lemma_id, size)
         return gen_d_instance(seed, size)
     if lemma_id in ("L1a", "L1b"):
-        if n is None or s is None:
+        if n is None:
             n, s = _L1_PAIRS[index % len(_L1_PAIRS)]
         _check_side(lemma_id, n + s)
         return gen_l1_instance(seed, "a" if lemma_id == "L1a" else "b", n, s)
     if lemma_id == "L2":
-        if m is None or n is None:
+        if n is None:
             rng = random.Random(seed ^ 0x5F5F)
             n = rng.randint(1, 11)
             m = rng.randint(0, min(n - 1, 12 - n))

@@ -17,11 +17,11 @@ for n = +-3. verify_theorem_instance checks the full identity chain on
 concrete instances and reports the outcome.
 
 The mod-8 path builds no integer polynomial. F, F' and G go to
-intres.resultant_mod8_terms, a Euclid remainder sequence on packed Z/8
+intres.resultant_mod8, a Euclid remainder sequence on packed Z/8
 polynomials, as (exponent, coefficient) pairs read off the support: F is
 1 at each exponent e of f, F' is e at e - 1, and G is n^2 at 0 and
-n(n - i) at each i in S. lift_01 builds the IntPoly that the exact
-discriminant needs.
+n(n - i) at each i in S. lift_01 builds the coefficient list that the
+exact discriminant needs.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ ODD = "odd"
 EVEN = "even"
 
 
-def lift_01(f: BitPoly) -> intres.IntPoly:
-    """Integer lift with the same 0/1 coefficients."""
-    return intres.IntPoly.from_pairs((e, 1) for e in f.exponents)
+def lift_01(f: BitPoly) -> list[int]:
+    """Integer lift with the same 0/1 coefficients, lowest first; [] for 0."""
+    return [f.bits >> i & 1 for i in range(f.bits.bit_length())]
 
 
-def _disc_mod8(f: BitPoly) -> int:
+def discriminant_mod8(f: BitPoly) -> int:
     """disc(F) reduced into 0..7 for the 0/1 lift F of f, degree >= 2.
 
     disc(F) = (-1)^(n(n-1)/2) res(F, F'), and F' is e at e - 1 for each
@@ -50,7 +50,7 @@ def _disc_mod8(f: BitPoly) -> int:
     """
     n = f.degree
     es = f.exponents
-    r = intres.resultant_mod8_terms([(e, 1) for e in es], [(e - 1, e) for e in es if e])
+    r = intres.resultant_mod8([(e, 1) for e in es], [(e - 1, e) for e in es if e])
     return -r % 8 if (n * (n - 1) // 2) % 2 else r
 
 
@@ -113,7 +113,7 @@ def stickelberger_parity(f: BitPoly) -> str:
     n = f.degree
     if n == 1:
         return ODD
-    d8 = _disc_mod8(f)
+    d8 = discriminant_mod8(f)
     if d8 == 1:
         return ODD if n % 2 else EVEN
     if d8 == 5:
@@ -242,10 +242,10 @@ def verify_theorem_instance(n: int, support) -> ParityReport:
     G = g_terms(n, spec.support)
     check_g_terms(n, G)  # malformed instances raise here
     failures: list[str] = []
-    r8 = intres.resultant_mod8_terms([(e, 1) for e in f.exponents], G)
+    r8 = intres.resultant_mod8([(e, 1) for e in f.exponents], G)
     if r8 != 1:
         failures.append("resultant_unit")
-    d8 = _disc_mod8(f)
+    d8 = discriminant_mod8(f)
     sign = 7 if (n * (n - 1) // 2) % 2 else 1
     if pow(n, n, 8) * d8 % 8 != sign * r8 % 8:
         failures.append("determinant_bridge")

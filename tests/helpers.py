@@ -5,6 +5,7 @@ arithmetic (plain ints, shift and xor), so a bug in the package cannot
 hide inside the oracle that is supposed to catch it.
 """
 
+import itertools
 import random
 
 
@@ -136,3 +137,82 @@ def random_squarefree_bits(rng: random.Random, degree: int) -> int:
             a, b = b, o_divmod(a, b)[1]
         if a == 1:
             return bits
+
+
+def det_mod8(rows) -> int:
+    """Determinant of a square integer matrix, given as rows, reduced into 0..7.
+
+    Each row is packed into one int, entry j mod 8 in the 8-bit lane j.
+    Full pivoting on odd entries: the pivot row is the first remaining row
+    with an odd lane, the pivot column its lowest odd lane. An odd p is its
+    own inverse mod 8, so the pivot row scaled by p has a 1 in the pivot
+    column, and adding (8 - e) times it clears an entry e from the other
+    remaining rows; lanes stay at most 7 + 7 * 7 < 256, so no carry crosses
+    a lane. Each pivot enters the product with the sign of the k + j
+    adjacent swaps that would move it to the front of the remaining rows
+    and columns. When the remaining s x s minor has no odd entry it is all
+    even, so its determinant is 0 mod 8 for s >= 3 and is taken directly
+    for s <= 2.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    ones = int.from_bytes(b"\x01" * n, "little")
+    sevens = 7 * ones
+    rest = [sum((e % 8) << 8 * j for j, e in enumerate(r)) for r in rows]
+    free = list(range(n))  # columns not yet pivoted, ascending
+    det = 1
+    while True:
+        k = next((k for k, r in enumerate(rest) if r & ones), None)
+        if k is None:
+            break
+        r = rest.pop(k)
+        odd = r & ones
+        shift = (odd & -odd).bit_length() - 1
+        j = free.index(shift >> 3)
+        del free[j]
+        p = r >> shift & 7
+        det = det * (-p if (k + j) % 2 else p) % 8
+        unit = r * p & sevens
+        for i, s in enumerate(rest):
+            e = s >> shift & 7
+            if e:
+                rest[i] = (s + unit * (8 - e)) & sevens
+    if len(rest) >= 3:
+        return 0
+    minor = [[r >> 8 * c & 7 for c in free] for r in rest]
+    if len(minor) == 2:
+        det *= minor[0][0] * minor[1][1] - minor[0][1] * minor[1][0]
+    elif minor:
+        det *= minor[0][0]
+    return det % 8
+
+
+def trim(coeffs) -> list[int]:
+    """Coefficient list, lowest first, with trailing zeros dropped; [] for 0."""
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def dense(terms) -> list[int]:
+    """Trimmed coefficient list of (exponent, coefficient) pairs."""
+    out = [0] * (max((e for e, _ in terms), default=-1) + 1)
+    for e, c in terms:
+        out[e] = c
+    return trim(out)
+
+
+def poly_mul(f, g) -> list[int]:
+    """Product of nonempty integer coefficient lists, lowest first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def poly_sub(f, g) -> list[int]:
+    """Trimmed difference of integer coefficient lists, lowest first."""
+    return trim(a - b for a, b in itertools.zip_longest(f, g, fillvalue=0))

@@ -24,7 +24,6 @@ from gf2parity.gf2poly import (
 )
 from gf2parity.intres import (
     IntMatrix,
-    IntPoly,
     det_exact,
     discriminant_int,
     resultant,
@@ -177,7 +176,7 @@ def test_criterion_7_lemma_fuzzing():
 def _rand_int_poly(rng, degree, lo=-9, hi=9, monic=False):
     coeffs = [rng.randint(lo, hi) for _ in range(degree + 1)]
     coeffs[-1] = 1 if monic else (coeffs[-1] or 1)
-    return IntPoly(coeffs)
+    return coeffs
 
 
 def test_criterion_8_resultant_laws_and_determinant():
@@ -189,35 +188,35 @@ def test_criterion_8_resultant_laws_and_determinant():
             f = _rand_int_poly(rng, rng.randint(1, 6), monic=True)
             g = _rand_int_poly(rng, rng.randint(0, 8))
             q = _rand_int_poly(rng, rng.randint(0, 3))
-            reduced = g - f * q
-            if reduced.is_zero:
+            reduced = helpers.poly_sub(g, helpers.poly_mul(f, q))
+            if not reduced:
                 continue
             assert resultant(f, reduced) == resultant(f, g)
             checked += 1
 
-        x = IntPoly((0, 1))
-        minus_x = IntPoly((0, -1))
+        x = [0, 1]
+        minus_x = [0, -1]
         for _ in range(1000):  # R(x, g) = g(0) and R(f, -x) = f(0)
             g = _rand_int_poly(rng, rng.randint(1, 8))
             f = _rand_int_poly(rng, rng.randint(1, 8))
-            assert resultant(x, g) == g.coeff(0)
-            assert resultant(f, minus_x) == f.coeff(0)
+            assert resultant(x, g) == g[0]
+            assert resultant(f, minus_x) == f[0]
 
         for _ in range(1000):  # R(fg, h) = R(f, h) R(g, h) for monic f, g
             f = _rand_int_poly(rng, rng.randint(1, 4), monic=True)
             g = _rand_int_poly(rng, rng.randint(1, 4), monic=True)
             h = _rand_int_poly(rng, rng.randint(1, 4))
-            assert resultant(f * g, h) == resultant(f, h) * resultant(g, h)
+            assert resultant(helpers.poly_mul(f, g), h) == resultant(f, h) * resultant(g, h)
 
         for _ in range(1000):  # zero-padding g never moves R(f, g) for monic f
             f = _rand_int_poly(rng, rng.randint(1, 5), monic=True)
             g = _rand_int_poly(rng, rng.randint(0, 5))
             k = rng.randint(1, 3)
-            padded = IntPoly(g.coeffs, declared_degree=g.degree + k)
+            padded = g + [0] * k
             assert resultant(f, padded) == resultant(f, g)
 
         for _ in range(500):  # Bareiss against Laplace expansion
             size = rng.randint(1, 6)
             rows = [[rng.randint(-9, 9) for _ in range(size)]
                     for _ in range(size)]
-            assert det_exact(IntMatrix.from_rows(rows)) == helpers.cofactor_det(rows)
+            assert det_exact(IntMatrix(rows)) == helpers.cofactor_det(rows)

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import gf2parity
+from gf2parity import cli
 from gf2parity.cli import main
 from gf2parity.gf2poly import MAX_DEGREE, parse_poly
-from gf2parity.lemma_lab import MAX_SIDE, build_instance, write_replay
+from gf2parity.lemma_lab import MAX_SIDE, build_instance, gen_l1_instance, write_replay
 
 
 def run(capsys, args):
@@ -263,6 +264,52 @@ def test_lemma_fuzz_slow_sizes_refused(capsys, args, lemma, side):
                f"above the maximum of {MAX_SIDE}\n")
 
 
+@pytest.mark.parametrize("args, pins", [
+    (["--lemma", "l2", "--n", "150"], "L2 is pinned by all of {m, n} or none, got {n}"),
+    (["--lemma", "l1a", "--n", "400"], "L1a is pinned by all of {n, s} or none, got {n}"),
+    (["--lemma", "d", "--s", "3"], "D is pinned by all of {m} or none, got {s}"),
+    (["--lemma", "general", "--m", "3"], "GENERAL is pinned by all of {n} or none, got {m}"),
+])
+def test_lemma_fuzz_lone_or_unused_pins_refused(capsys, args, pins):
+    # each of these once checked the default sizes and printed ok
+    assert run(capsys, [*FUZZ, *args]) == (1, "", f"error: {pins}\n")
+
+
+def _replay_args(tmp_path, data):
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(data))
+    return ["lemma-fuzz", "--lemma", "d", "--replay", str(path)]
+
+
+def test_lemma_fuzz_replay_held_to_the_side_bound(tmp_path, capsys):
+    # a valid L1a instance whose Sylvester matrix has side 241; build_instance
+    # refuses that size, and its replay once printed "replay ok"
+    data = gen_l1_instance(3, "a", 240, 1).to_json()
+    assert run(capsys, _replay_args(tmp_path, data)) == (
+        1, "", f"error: L1a instance has matrix side 241, above the maximum of {MAX_SIDE}\n")
+
+
+def test_lemma_fuzz_replay_held_to_the_degree_cap(tmp_path, capsys):
+    data = build_instance("GENERAL", 7, 0, n=9).to_json()
+    data["params"]["n"] = OVER
+    assert run(capsys, _replay_args(tmp_path, data)) == (
+        1, "", f"error: degree {OVER} is above the maximum of {MAX_DEGREE}\n")
+
+
+def test_lemma_fuzz_replay_without_params_refused(tmp_path, capsys):
+    data = build_instance("D", 7, 0).to_json()
+    del data["params"]
+    assert run(capsys, _replay_args(tmp_path, data)) == (
+        1, "", "error: a replay is an object with lemma_id, params and an integer seed\n")
+
+
+def test_lemma_fuzz_replay_with_a_non_integer_entry_refused(tmp_path, capsys):
+    data = build_instance("D", 7, 0).to_json()
+    data["matrix"][0][0] = "a"
+    assert run(capsys, _replay_args(tmp_path, data)) == (
+        1, "", "error: the replay matrix must be rows of integers in 0..7\n")
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_lemma_fuzz_negative_trials_refused(capsys, jobs):
     assert run(capsys, ["lemma-fuzz", "--lemma", "d", "--trials", "-5", "--seed", "1",
@@ -310,6 +357,21 @@ def test_help(capsys):
     rc, out, _ = run(capsys, ["--help"])
     assert rc == 0
     assert "parity" in out and "lemma-fuzz" in out
+
+
+def test_main_builds_one_parser_with_unchanged_output(capsys, monkeypatch):
+    # repeated calls, help and usage errors included, print what a new parser
+    # per call prints
+    argvs = [["parity", "x^21+x^7+1"], ["--help"], ["parity"], ["bogus"],
+             ["disc", "x^3+x+1"], ["lemma-fuzz", "--lemma", "d", "--trials", "3", "--seed", "1"],
+             ["lemma-fuzz", "--help"], ["verify", "--spec", "n=13;S=1,9"]]
+    cli._parser.cache_clear()
+    cached = [[run(capsys, argv) for argv in argvs] for _ in range(2)]
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, argv) for argv in argvs]
+    assert cached[0] == cached[1] == fresh
+    assert [rc for rc, _, _ in fresh] == [0, 0, 1, 1, 0, 0, 0, 0]
 
 
 def test_malformed_poly(capsys):

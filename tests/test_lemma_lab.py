@@ -6,11 +6,10 @@ import pytest
 
 from gf2parity import lemma_lab
 from gf2parity.gf2poly import MAX_DEGREE
-from gf2parity.intres import IntPoly, det_exact, resultant, sylvester
+from gf2parity.intres import IntMatrix, resultant, sylvester
 from gf2parity.lemma_lab import (
     HypothesisViolation,
     LemmaInstance,
-    Mod8Matrix,
     build_instance,
     check_d,
     check_general,
@@ -30,9 +29,11 @@ from gf2parity.lemma_lab import (
 )
 from gf2parity.swan import g_terms, lift_01, support_poly, support_universe
 
+import helpers
+
 
 def d_instance(rows):
-    return LemmaInstance("D", {"size": len(rows)}, 0, Mod8Matrix(tuple(map(tuple, rows))))
+    return LemmaInstance("D", {"size": len(rows)}, 0, IntMatrix(rows))
 
 
 # -- D lemma --------------------------------------------------------------------
@@ -122,14 +123,14 @@ def test_l2_m_zero_degenerates_to_d_shape():
 
 def test_l2_minimal_identity_like():
     rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-    inst = LemmaInstance("L2", {"m": 2, "n": 3}, 0, Mod8Matrix(tuple(map(tuple, rows))))
+    inst = LemmaInstance("L2", {"m": 2, "n": 3}, 0, IntMatrix(rows))
     assert check_l2(inst)
 
 
 def test_l2_rejects_broken_diagonal():
     rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
     rows[0][0] = 3
-    inst = LemmaInstance("L2", {"m": 2, "n": 3}, 0, Mod8Matrix(tuple(map(tuple, rows))))
+    inst = LemmaInstance("L2", {"m": 2, "n": 3}, 0, IntMatrix(rows))
     with pytest.raises(HypothesisViolation):
         check_l2(inst)
 
@@ -138,7 +139,7 @@ def test_l2_rejects_odd_c_entry():
     inst = gen_l2_matrix(instance_seed(13, "L2", 1), 2, 3)
     rows = [list(r) for r in inst.matrix.rows]
     rows[2][0] = 2  # C entries must be divisible by 4
-    bad = LemmaInstance("L2", inst.params, inst.seed, Mod8Matrix(tuple(map(tuple, rows))))
+    bad = LemmaInstance("L2", inst.params, inst.seed, IntMatrix(rows))
     with pytest.raises(HypothesisViolation):
         check_l2(bad)
 
@@ -160,7 +161,7 @@ def test_general_minimal_unit_triangular():
     size = m + n
     rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     inst = LemmaInstance("GENERAL", {"n": n, "m": m, "s": 1}, 0,
-                         Mod8Matrix(tuple(map(tuple, rows))))
+                         IntMatrix(rows))
     assert check_general(inst)
 
 
@@ -178,7 +179,7 @@ def test_general_rejects_off_support_entry():
     rows[0][1] = 3  # offset 1 is outside the upper support
     assert general_hypothesis_violations(rows, 7)
     bad = LemmaInstance("GENERAL", inst.params, inst.seed,
-                        Mod8Matrix(tuple(map(tuple, rows))))
+                        IntMatrix(rows))
     with pytest.raises(HypothesisViolation):
         check_general(bad)
 
@@ -192,11 +193,12 @@ def test_sylvester_of_theorem_pair_meets_general_hypotheses():
         universe = support_universe(n)
         support = set(rng.sample(universe, min(len(universe), rng.randint(0, 4))))
         F = lift_01(support_poly(n, support))
-        padded = IntPoly.from_pairs(g_terms(n, support), declared_degree=n - 4)
-        rows = [[v % 8 for v in row] for row in sylvester(F, padded).to_rows()]
+        G = helpers.dense(g_terms(n, support))
+        padded = G + [0] * (n - 3 - len(G))  # zero-padded to degree n - 4
+        rows = [[v % 8 for v in row] for row in sylvester(F, padded).rows]
         assert general_hypothesis_violations(rows, n) == [], (n, sorted(support))
         inst = LemmaInstance("GENERAL", {"n": n, "m": n - 4, "s": (n - 1) // 3},
-                             0, Mod8Matrix(tuple(map(tuple, rows))))
+                             0, IntMatrix(rows))
         assert check_general(inst)
         checked += 1
 

@@ -12,8 +12,8 @@ from gf2parity.gf2poly import (
     count_distinct_irreducible_factors,
     parse_poly,
 )
-from gf2parity import intres
-from gf2parity.intres import IntPoly, resultant_mod8, resultant_mod8_terms
+from gf2parity import intres, swan
+from gf2parity.intres import resultant_mod8
 from gf2parity.swan import (
     EVEN,
     ODD,
@@ -38,11 +38,11 @@ import helpers
 
 def test_lift_examples():
     f = lift_01(BitPoly.from_exponents((21, 7, 0)))
-    assert f.coeff(21) == 1 and f.coeff(7) == 1 and f.coeff(0) == 1
-    assert f.degree == 21
-    assert sum(f.coeffs) == 3
-    assert lift_01(BitPoly(0)).is_zero
-    assert lift_01(BitPoly.from_exponents((1,))).coeffs == (0, 1)
+    assert f[21] == 1 and f[7] == 1 and f[0] == 1
+    assert len(f) - 1 == 21
+    assert sum(f) == 3
+    assert lift_01(BitPoly(0)) == []
+    assert lift_01(BitPoly.from_exponents((1,))) == [0, 1]
 
 
 # -- stickelberger parity ------------------------------------------------------
@@ -190,22 +190,26 @@ def test_padded_resultant_unit_and_natural_equal():
         n = rng.randrange(7, 36, 2)
         universe = support_universe(n)
         support = set(rng.sample(universe, min(len(universe), rng.randint(0, 3))))
-        F = lift_01(support_poly(n, support))
-        G = IntPoly.from_pairs(g_terms(n, support))
-        padded = IntPoly(G.coeffs, declared_degree=n - 4)
-        assert int(resultant_mod8(F, padded)) == 1
-        assert int(resultant_mod8(F, G)) == int(resultant_mod8(F, padded))
+        F = list(enumerate(lift_01(support_poly(n, support))))
+        G = helpers.dense(g_terms(n, support))
+        padded = G + [0] * (n - 3 - len(G))  # zero-padded to degree n - 4
+        assert int(resultant_mod8(F, enumerate(padded))) == 1
+        assert int(resultant_mod8(F, enumerate(G))) == int(resultant_mod8(F, enumerate(padded)))
         F_terms = [(i, 1) for i in (0, n, *support)]
-        assert resultant_mod8_terms(F_terms, g_terms(n, support)) == 1
+        assert resultant_mod8(F_terms, g_terms(n, support)) == 1
 
 
 def test_mod8_path_builds_no_int_poly(monkeypatch):
+    # the mod-8 path reads terms off the support: no coefficient list from
+    # lift_01 and no matrix of the exact path
     def refuse(*args, **kwargs):
-        raise AssertionError("IntPoly built on the mod-8 path")
+        raise AssertionError("integer polynomial built on the mod-8 path")
 
-    monkeypatch.setattr(intres.IntPoly, "__init__", refuse)
+    monkeypatch.setattr(swan, "lift_01", refuse)
+    monkeypatch.setattr(intres, "sylvester", refuse)
+    monkeypatch.setattr(intres, "IntMatrix", refuse)
     with pytest.raises(AssertionError):
-        IntPoly([1])
+        swan.lift_01(BitPoly(1))
     assert verify_theorem_instance(13, {1, 9}).agree
     assert stickelberger_parity(parse_poly("x^13+x^9+x+1")) == EVEN
 
