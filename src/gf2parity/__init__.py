@@ -8,9 +8,7 @@ randomized lemma fuzzing, and an exhaustive small-degree audit.
 """
 
 from .gf2poly import (
-    BitPoly,
     PolyParseError,
-    TraceSpectrum,
     am_condition,
     count_distinct_irreducible_factors,
     count_factors_with_multiplicity,
@@ -56,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport",
-    "BitPoly",
     "HypothesisViolation",
     "IntMatrix",
     "LemmaInstance",
@@ -65,7 +62,6 @@ __all__ = [
     "SearchQuery",
     "SearchRecord",
     "SupportSpec",
-    "TraceSpectrum",
     "am_condition",
     "corollary_audit",
     "count_distinct_irreducible_factors",

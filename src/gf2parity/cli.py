@@ -62,8 +62,8 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     f = gf2poly.parse_poly(args.poly)
     spectrum = gf2poly.trace_spectrum(f)
-    print("spectrum=" + ",".join(str(b) for b in spectrum.bits))
-    print("I=" + ",".join(str(i) for i in spectrum.ones()))
+    print("spectrum=" + ",".join(map(str, spectrum)))
+    print("I=" + ",".join(str(i) for i, b in enumerate(spectrum) if b))
     return 0
 
 
@@ -109,7 +109,7 @@ def _cmd_search(args) -> int:
     elif args.format == "csv":
         _print_csv(_SEARCH_HEADER, _search_rows(records))
     else:
-        table_rows = [[str(r.poly()), *row[2:]] for r, row in
+        table_rows = [[gf2poly.format_poly(r.poly()), *row[2:]] for r, row in
                       zip(records, _search_rows(records))]
         _print_table(["poly", *_SEARCH_HEADER[2:]],
                      [[c if c else "-" for c in row] for row in table_rows])
@@ -150,6 +150,9 @@ _LEMMA_BY_FLAG = {"d": "D", "l1a": "L1a", "l1b": "L1b", "l2": "L2",
 def _cmd_lemma_fuzz(args) -> int:
     if args.replay:
         inst = lemma_lab.read_replay(args.replay)
+        if inst.lemma_id != _LEMMA_BY_FLAG[args.lemma]:
+            raise ValueError(f"--lemma {args.lemma} names {_LEMMA_BY_FLAG[args.lemma]}, "
+                             f"but the replay holds a {inst.lemma_id} instance")
         if lemma_lab.recheck(inst):
             print(f"replay ok lemma={inst.lemma_id} seed={inst.seed}")
             return 0
@@ -254,7 +257,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

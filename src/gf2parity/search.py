@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 from . import gf2poly
 from . import swan
-from .gf2poly import BitPoly
 from .pool import map_in_pool
 from .swan import EVEN, ODD
 
@@ -91,8 +90,8 @@ class SearchRecord:
     predicted_parity: str | None
     observed_parity: str
 
-    def poly(self) -> BitPoly:
-        return BitPoly.from_exponents(self.exponents)
+    def poly(self) -> int:
+        return gf2poly.from_exponents(self.exponents)
 
     def to_json_line(self) -> str:
         out = {
@@ -173,11 +172,11 @@ def enumerate_candidates(q: SearchQuery):
     """Deterministic stream of candidate polynomials for the query."""
     for n in _degrees(q):
         for mids in _middle_tuples(q, n):
-            yield BitPoly.from_exponents((n, *mids, 0))
+            yield gf2poly.from_exponents((n, *mids, 0))
 
 
 def _classify(n: int, mids: tuple[int, ...], full_check: bool) -> SearchRecord:
-    f = BitPoly.from_exponents((n, *mids, 0))
+    f = gf2poly.from_exponents((n, *mids, 0))
     valid = n % 2 == 1 and swan.validate_support(n, mids)
     predicted = swan.theorem_parity(n, mids) if valid else None
     if valid and predicted == EVEN and not full_check:
@@ -190,7 +189,7 @@ def _classify(n: int, mids: tuple[int, ...], full_check: bool) -> SearchRecord:
         irreducible = t == 1 and gf2poly.is_squarefree(f)
         if valid and predicted != observed:
             raise RuntimeError(
-                f"parity shortcut contradicted by factor count at {f}")
+                f"parity shortcut contradicted by factor count at {gf2poly.format_poly(f)}")
     am = gf2poly.am_condition(f) if n % 2 else False
     return SearchRecord(
         n=n, exponents=(n, *mids, 0), irreducible=irreducible,
@@ -258,7 +257,7 @@ class _LaneScreen:
     """
 
     def __init__(self, max_exponent: int):
-        qs = [q.bits for q in gf2poly.irreducibles(8) if q.degree >= 2]
+        qs = [q for q in gf2poly.irreducibles(8) if q.bit_length() > 2]
         self.degrees = [q.bit_length() - 1 for q in qs]
         ones = int.from_bytes(bytes([1] * len(qs)), "little")
         # each q_i less its leading term, aligned like the residues
@@ -403,12 +402,13 @@ def _audit_one_degree(n: int) -> AuditRow:
         for code, flag in zip(codes, flags):
             if flag == "1":
                 mids = [m for t, m in enumerate(pool) if code >> t & 1]
-                found.append(BitPoly.from_exponents((n, *mids, 0)))
-    # subset size, then descending lexicographic, as _middle_tuples yields them
-    found.sort(key=lambda f: (f.weight(), [-e for e in f.exponents]))
+                found.append(gf2poly.from_exponents((n, *mids, 0)))
+    # subset size, then descending lexicographic, as _middle_tuples yields them;
+    # among supports of one size that is descending order of the ints
+    found.sort(key=lambda f: (f.bit_count(), -f))
     return AuditRow(n=n, n_mod_8=n % 8, asserted=asserted,
                     candidates=(1 << len(pool)) - 1, irreducible=irreducible.bit_count(),
-                    violations=tuple(map(str, found)))
+                    violations=tuple(map(gf2poly.format_poly, found)))
 
 
 def corollary_audit(n_lo: int, n_hi: int, *, jobs: int = 1) -> AuditReport:

@@ -31,25 +31,28 @@ from dataclasses import dataclass, field
 
 from . import gf2poly
 from . import intres
-from .gf2poly import BitPoly
 
 ODD = "odd"
 EVEN = "even"
 
 
-def lift_01(f: BitPoly) -> list[int]:
+def lift_01(f: int) -> list[int]:
     """Integer lift with the same 0/1 coefficients, lowest first; [] for 0."""
-    return [f.bits >> i & 1 for i in range(f.bits.bit_length())]
+    if f < 0:
+        raise ValueError("a polynomial is a nonnegative int")
+    return [f >> i & 1 for i in range(f.bit_length())]
 
 
-def discriminant_mod8(f: BitPoly) -> int:
+def discriminant_mod8(f: int) -> int:
     """disc(F) reduced into 0..7 for the 0/1 lift F of f, degree >= 2.
 
     disc(F) = (-1)^(n(n-1)/2) res(F, F'), and F' is e at e - 1 for each
     exponent e of f.
     """
-    n = f.degree
-    es = f.exponents
+    if f <= 0:
+        raise ValueError("the discriminant needs a nonzero polynomial")
+    n = f.bit_length() - 1
+    es = gf2poly.exponents(f)
     r = intres.resultant_mod8([(e, 1) for e in es], [(e - 1, e) for e in es if e])
     return -r % 8 if (n * (n - 1) // 2) % 2 else r
 
@@ -81,9 +84,9 @@ def support_universe(n: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n) if _admissible(n, i))
 
 
-def support_poly(n: int, support) -> BitPoly:
+def support_poly(n: int, support) -> int:
     """The binary polynomial x^n + sum_{i in support} x^i + 1."""
-    return BitPoly.from_exponents(sorted({n, 0, *support}, reverse=True))
+    return gf2poly.from_exponents({n, 0, *support})
 
 
 def theorem_parity(n: int, support) -> str:
@@ -101,16 +104,16 @@ def theorem_parity(n: int, support) -> str:
     return ODD if n % 8 in (1, 7) else EVEN
 
 
-def stickelberger_parity(f: BitPoly) -> str:
+def stickelberger_parity(f: int) -> str:
     """Parity of the number of distinct irreducible factors of squarefree f.
 
     Uses the discriminant of the 0/1 lift mod 8; no factoring happens.
     """
-    if f.is_zero or f.degree < 1:
+    if f < 2:
         raise ValueError("parity needs degree at least 1")
     if not gf2poly.is_squarefree(f):
         raise ValueError("parity prediction requires a squarefree polynomial")
-    n = f.degree
+    n = f.bit_length() - 1
     if n == 1:
         return ODD
     d8 = discriminant_mod8(f)
@@ -167,7 +170,7 @@ class SupportSpec:
         object.__setattr__(self, "support", frozenset(int(i) for i in self.support))
         object.__setattr__(self, "valid", validate_support(self.n, self.support))
 
-    def poly(self) -> BitPoly:
+    def poly(self) -> int:
         return support_poly(self.n, self.support)
 
     def to_text(self) -> str:
@@ -198,7 +201,7 @@ class ParityReport:
     """Outcome of checking one support instance end to end."""
 
     spec: SupportSpec
-    poly: BitPoly
+    poly: int
     squarefree: bool
     t_distinct: int
     t_multiplicity: int
@@ -211,7 +214,7 @@ class ParityReport:
     def to_json_line(self) -> str:
         out = {
             "spec": self.spec.to_text(),
-            "poly": str(self.poly),
+            "poly": gf2poly.format_poly(self.poly),
             "squarefree": self.squarefree,
             "t_distinct": self.t_distinct,
             "t_multiplicity": self.t_multiplicity,
@@ -242,7 +245,7 @@ def verify_theorem_instance(n: int, support) -> ParityReport:
     G = g_terms(n, spec.support)
     check_g_terms(n, G)  # malformed instances raise here
     failures: list[str] = []
-    r8 = intres.resultant_mod8([(e, 1) for e in f.exponents], G)
+    r8 = intres.resultant_mod8([(e, 1) for e in gf2poly.exponents(f)], G)
     if r8 != 1:
         failures.append("resultant_unit")
     d8 = discriminant_mod8(f)

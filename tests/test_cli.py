@@ -1,5 +1,6 @@
 """Command line surface: exact output lines and exit codes."""
 
+import hashlib
 import json
 import os
 import resource
@@ -177,7 +178,7 @@ OVER = MAX_DEGREE + 1
 def test_degree_cap_in_every_parser_form(capsys, form):
     at, over = (hex(1 << e | 3) if form == "hex" else form.format(e)
                 for e in (MAX_DEGREE, OVER))
-    assert parse_poly(at).degree == MAX_DEGREE
+    assert parse_poly(at).bit_length() - 1 == MAX_DEGREE
     refusal = f"degree {OVER} is above the maximum of {MAX_DEGREE}"
     with pytest.raises(ValueError, match=refusal):
         parse_poly(over)
@@ -339,6 +340,26 @@ def test_lemma_fuzz_replay(tmp_path, capsys):
     assert out.startswith("replay ok lemma=GENERAL seed=")
 
 
+def test_lemma_fuzz_replay_of_a_missing_file_refused(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    rc, out, err = run(capsys, ["lemma-fuzz", "--lemma", "d", "--replay", str(path)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_lemma_fuzz_replay_of_a_directory_refused(tmp_path, capsys):
+    rc, out, err = run(capsys, ["lemma-fuzz", "--lemma", "d", "--replay", str(tmp_path)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_lemma_fuzz_replay_of_another_lemma_refused(tmp_path, capsys):
+    path = tmp_path / "replay.json"
+    write_replay(path, build_instance("GENERAL", 7, 0, n=9))
+    assert run(capsys, ["lemma-fuzz", "--lemma", "d", "--replay", str(path)]) == (
+        1, "", "error: --lemma d names D, but the replay holds a GENERAL instance\n")
+
+
 def test_lemma_fuzz_pins(capsys):
     rc, out, _ = run(capsys, ["lemma-fuzz", "--lemma", "l1a", "--trials", "20",
                               "--seed", "3", "--n", "8", "--s", "2"])
@@ -378,3 +399,26 @@ def test_malformed_poly(capsys):
     rc, _, err = run(capsys, ["parity", "2x+1"])
     assert rc == 1
     assert err.startswith("error: ")
+
+
+_GOLDEN_POLYS = ["x^21+x^7+1", "x^13+x^9+x+1", "x^8+x^4+1", "x", "x+1", "1", "0",
+                 "x^127+x^5+x^3+x+1"]
+_GOLDEN_SEARCHES = [["--n-lo", "5", "--n-hi", "21", "--shape", "trinomial"],
+                    ["--n-lo", "5", "--n-hi", "13", "--shape", "pentanomial",
+                     "--exponents", "odd-only"],
+                    ["--n-lo", "5", "--n-hi", "11", "--shape", "any-support"]]
+_FORMATS = ["jsonl", "csv", "table"]
+
+
+def test_stdout_matches_recorded_digest(capsys):
+    # SHA-256 over argv, exit code and stdout of a fixed set of commands,
+    # recorded while binary polynomials were still wrapped in a class
+    argvs = [[command, p] for p in _GOLDEN_POLYS
+             for command in ("parity", "factors", "trace", "disc")]
+    argvs += [["search", *q, "--format", fmt] for q in _GOLDEN_SEARCHES for fmt in _FORMATS]
+    argvs += [["audit", "--n-lo", "5", "--n-hi", "61", "--format", fmt] for fmt in _FORMATS]
+    h = hashlib.sha256()
+    for argv in argvs:
+        rc, out, _ = run(capsys, argv)
+        h.update(f"{' '.join(argv)}\n{rc}\n{out}".encode())
+    assert h.hexdigest() == "cac88fab7056b4ac8c356ee309db03e9cf1d6f8176adae56f98df76210eb33ef"

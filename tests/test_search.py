@@ -9,7 +9,9 @@ import pytest
 
 from gf2parity import cli, search
 from gf2parity.gf2poly import (
-    BitPoly,
+    exponents,
+    format_poly,
+    from_exponents,
     is_irreducible,
     parse_poly,
     trace_spectrum,
@@ -74,8 +76,8 @@ def test_enumerate_any_support_small():
 
 def test_enumeration_is_stable():
     q = SearchQuery(n_lo=5, n_hi=16, shape="pentanomial", exponents="odd-only")
-    a = [f.bits for f in enumerate_candidates(q)]
-    b = [f.bits for f in enumerate_candidates(q)]
+    a = list(enumerate_candidates(q))
+    b = list(enumerate_candidates(q))
     assert a == b
 
 
@@ -86,7 +88,7 @@ def test_m1_bound_filters():
     assert got == [parse_poly("x^11+x^3+1"), parse_poly("x^11+x+1")]
     q = SearchQuery(n_lo=11, n_hi=11, shape="trinomial", exponents="odd-only",
                     m1_bound="at-least-n-over-3")
-    assert all(3 * f.exponents[1] >= 11 for f in enumerate_candidates(q))
+    assert all(3 * exponents(f)[1] >= 11 for f in enumerate_candidates(q))
 
 
 # -- scan ------------------------------------------------------------------------
@@ -141,7 +143,7 @@ def test_scan_am_flag_matches_spectrum():
     seen = {True: 0, False: 0}
     for rec in scan(q):
         if rec.irreducible and rec.n % 2:
-            single = len(trace_spectrum(rec.poly()).ones()) == 1
+            single = sum(trace_spectrum(rec.poly())) == 1
             assert rec.am_single_trace == single, rec.exponents
             seen[single] += 1
     assert seen[True] and seen[False]
@@ -169,15 +171,15 @@ def test_scan_parallel_matches_serial():
 SMALL_Q = [q for q in helpers.o_irreducibles(8) if q.bit_length() - 1 >= 2]
 
 
-def _residue(screen, f: BitPoly) -> int:
+def _residue(screen, f: int) -> int:
     res = 0
-    for e in f.exponents:
+    for e in exponents(f):
         res ^= screen.powers[e]
     return res
 
 
-def _zero_lane(screen, f: BitPoly) -> bool:
-    lanes, low7, high = screen.lanes(f.degree)
+def _zero_lane(screen, f: int) -> bool:
+    lanes, low7, high = screen.lanes(f.bit_length() - 1)
     return not _no_zero_lane(_residue(screen, f) & lanes, low7, high)
 
 
@@ -208,15 +210,15 @@ def test_lane_screen_matches_trial_division():
             # force a small divisor into a third of the samples
             q = rng.choice(SMALL_Q)
             bits = helpers.o_mul(helpers.random_bits(rng, n - q.bit_length() + 1), q)
-        f = BitPoly(bits)
-        lanes, low7, high = screen.lanes(f.degree)
-        res = _residue(screen, f) & lanes
+        degree = bits.bit_length() - 1
+        lanes, low7, high = screen.lanes(degree)
+        res = _residue(screen, bits) & lanes
         divides = False
         for i, q in enumerate(SMALL_Q):
             # lane i holds f mod q_i shifted up by 8 - deg q_i; lanes of q
             # with deg q >= deg f are masked off
             d = q.bit_length() - 1
-            in_use = d < f.degree
+            in_use = d < degree
             rem = helpers.o_divmod(bits, q)[1]
             assert lanes >> 8 * i & 0xFF == (0xFF if in_use else 0)
             assert res >> 8 * i & 0xFF == (rem << (8 - d) if in_use else 0), (hex(bits), i)
@@ -230,17 +232,16 @@ def test_screen_agrees_with_full_test():
     screen = _LaneScreen(64)
     rng = random.Random(89)
     for _ in range(400):
-        bits = helpers.random_bits(rng, rng.randrange(2, 40))
-        f = BitPoly(bits)
+        f = helpers.random_bits(rng, rng.randrange(2, 40))
         if _zero_lane(screen, f):
-            assert not is_irreducible(f), hex(bits)
+            assert not is_irreducible(f), hex(f)
 
 
 def test_screen_exhaustive_small_trinomials():
     screen = _LaneScreen(64)
     for n in range(4, 20):
         for m in range(1, n):
-            f = BitPoly.from_exponents((n, m, 0))
+            f = from_exponents((n, m, 0))
             survived = not _zero_lane(screen, f)
             if not survived:
                 assert not is_irreducible(f), (n, m)
@@ -250,7 +251,7 @@ def test_screened_test_agrees_on_degree_one():
     screen = _LaneScreen(64)
     for text in ("x", "x+1"):
         f = parse_poly(text)
-        assert screen.lanes(f.degree)[0] == 0, text
+        assert screen.lanes(f.bit_length() - 1)[0] == 0, text
         assert not _zero_lane(screen, f), text
         assert is_irreducible(f), text
 
@@ -284,7 +285,7 @@ def test_audit_counts_match_direct_enumeration():
         direct = 0
         for mask in range(1, 2 ** len(pool)):
             exps = [pool[b] for b in range(len(pool)) if mask >> b & 1]
-            f = BitPoly.from_exponents((row.n, *sorted(exps, reverse=True), 0))
+            f = from_exponents((row.n, *sorted(exps, reverse=True), 0))
             if is_irreducible(f):
                 direct += 1
         assert row.irreducible == direct, row.n
@@ -301,13 +302,13 @@ def test_audit_violations_in_enumeration_order(monkeypatch):
                         m1_bound="below-n-over-3")
         want = []
         for mids in _middle_tuples(q, n):
-            bits = BitPoly.from_exponents((n, *mids, 0)).bits
+            bits = from_exponents((n, *mids, 0))
             if len(mids) % 2 == 0:
                 continue  # even weight: x + 1 divides
             if any(q.bit_length() - 1 < n and helpers.o_divmod(bits, q)[1] == 0
                    for q in SMALL_Q):
                 continue
-            want.append(str(BitPoly(bits)))
+            want.append(format_poly(bits))
         row = corollary_audit(n, n).rows[0]
         assert row.asserted
         assert row.violations == tuple(want), n
@@ -338,13 +339,13 @@ def test_frobenius_verdict_matches_is_irreducible():
         verdict = _frobenius_irreducible(n, _audit_pool(n), codes)
         assert verdict >> len(codes) == 0
         for c, code in enumerate(codes):
-            f = BitPoly(_survivor_poly(n, code))
-            assert verdict >> c & 1 == is_irreducible(f), (n, str(f))
+            f = _survivor_poly(n, code)
+            assert verdict >> c & 1 == is_irreducible(f), (n, format_poly(f))
     # survivors that pass at step n but are reducible: only the steps n/p
     # (here 21 and 9) reject them
     passers = [code for code in _audit_survivors(63)
                if _frobenius_fixes_x(_survivor_poly(63, code), 63)]
-    reducible = [code for code in passers if not is_irreducible(BitPoly(_survivor_poly(63, code)))]
+    reducible = [code for code in passers if not is_irreducible(_survivor_poly(63, code))]
     assert len(reducible) == 2
 
 

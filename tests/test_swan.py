@@ -8,8 +8,8 @@ import random
 import pytest
 
 from gf2parity.gf2poly import (
-    BitPoly,
     count_distinct_irreducible_factors,
+    from_exponents,
     parse_poly,
 )
 from gf2parity import intres, swan
@@ -37,12 +37,12 @@ import helpers
 # -- lift ----------------------------------------------------------------------
 
 def test_lift_examples():
-    f = lift_01(BitPoly.from_exponents((21, 7, 0)))
+    f = lift_01(from_exponents((21, 7, 0)))
     assert f[21] == 1 and f[7] == 1 and f[0] == 1
     assert len(f) - 1 == 21
     assert sum(f) == 3
-    assert lift_01(BitPoly(0)) == []
-    assert lift_01(BitPoly.from_exponents((1,))) == [0, 1]
+    assert lift_01(0) == []
+    assert lift_01(from_exponents((1,))) == [0, 1]
 
 
 # -- stickelberger parity ------------------------------------------------------
@@ -58,14 +58,24 @@ def test_stickelberger_refuses_non_squarefree():
         stickelberger_parity(parse_poly("x^2+1"))
 
 
+@pytest.mark.parametrize("f", [0, -1, -8])
+def test_zero_and_negative_ints_refused(f):
+    with pytest.raises(ValueError):
+        swan.discriminant_mod8(f)
+    with pytest.raises(ValueError):
+        stickelberger_parity(f)
+    if f:
+        with pytest.raises(ValueError):
+            lift_01(f)
+
+
 def test_stickelberger_matches_count_parity():
     rng = random.Random(71)
     for _ in range(200):
-        bits = helpers.random_squarefree_bits(rng, rng.randrange(2, 14))
-        f = BitPoly(bits)
+        f = helpers.random_squarefree_bits(rng, rng.randrange(2, 14))
         t = count_distinct_irreducible_factors(f)
         want = ODD if t % 2 else EVEN
-        assert stickelberger_parity(f) == want, hex(bits)
+        assert stickelberger_parity(f) == want, hex(f)
 
 
 @pytest.mark.parametrize("degree", [127, 255, 511])
@@ -74,9 +84,9 @@ def test_stickelberger_matches_berlekamp_at_large_degree(degree):
     # the mod-8 discriminant above the oracles' degree-12 cap
     rng = random.Random(degree)
     for _ in range(20):
-        f = BitPoly(helpers.random_squarefree_bits(rng, degree))
+        f = helpers.random_squarefree_bits(rng, degree)
         t = count_distinct_irreducible_factors(f)
-        assert stickelberger_parity(f) == (ODD if t % 2 else EVEN), hex(f.bits)
+        assert stickelberger_parity(f) == (ODD if t % 2 else EVEN), hex(f)
 
 
 # -- support validation and the predictor --------------------------------------
@@ -209,7 +219,7 @@ def test_mod8_path_builds_no_int_poly(monkeypatch):
     monkeypatch.setattr(intres, "sylvester", refuse)
     monkeypatch.setattr(intres, "IntMatrix", refuse)
     with pytest.raises(AssertionError):
-        swan.lift_01(BitPoly(1))
+        swan.lift_01(1)
     assert verify_theorem_instance(13, {1, 9}).agree
     assert stickelberger_parity(parse_poly("x^13+x^9+x+1")) == EVEN
 
