@@ -1,11 +1,10 @@
 """Randomized stress tests for the mod-8 determinant lemmas.
 
 Each lemma pairs a generator, which draws a random instance satisfying
-the hypotheses, with a checker, which re-verifies the hypotheses from
-scratch (never trusting the generator) and then tests the conclusion by
-exact integer determinant or resultant reduced mod 8. A failed
-conclusion would be a counterexample; the instance then serializes to a
-replay file with seed, sizes, and entries.
+the hypotheses, with a checker, which re-verifies the hypotheses on the
+instance alone and then tests the conclusion by exact integer determinant
+or resultant reduced mod 8. A failed conclusion would be a counterexample;
+the instance then serializes to a replay file with seed, sizes, and entries.
 
 Lemma ids:
 
@@ -19,6 +18,13 @@ Lemma ids:
 * GENERAL: the (m+n) x (m+n) shape with m = n - 4, s = (n-1)//3 and the
   offset-based congruence ladder; determinant = 1 mod 8.
 
+The L2 and GENERAL hypotheses bind each entry on its own, so each is
+stated once, as a residue table (l2_table, general_table) that holds the
+residues mod 8 every entry admits, as a tuple of row tuples of residue
+tuples. The generator draws each entry from its slot and the checker
+refuses any entry outside it. D binds pairs of entries and L1 the degrees
+of polynomials, so they keep their own generators and checkers.
+
 Matrices are intres.IntMatrix with entries in 0..7 and polynomials are
 coefficient tuples, lowest first; every check ends in intres.det_exact,
 the independent exact determinant. Entry distributions are uniform over
@@ -30,6 +36,7 @@ bounds of generated instances.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -46,6 +53,7 @@ LEMMA_IDS = ("D", "L1a", "L1b", "L2", "GENERAL")
 EVEN_RESIDUES = (0, 2, 4, 6)
 MULT4_RESIDUES = (0, 4)
 ALL_RESIDUES = tuple(range(8))
+_ZERO, _ONE = (0,), (1,)
 
 
 class HypothesisViolation(ValueError):
@@ -233,76 +241,91 @@ def check_l1(instance: LemmaInstance) -> bool:
     return intres.resultant(f, g) % 8 == 1
 
 
+# -- residue tables: L2 and GENERAL ---------------------------------------------
+
+def _draw_matrix(rng: random.Random, table, cut: int) -> list[list[int]]:
+    """Rows drawn from table: one _draw per slot of two or more residues.
+
+    Rows and columns split at cut into four blocks, drawn in the order
+    top-left, top-right, bottom-left, bottom-right, each row by row; a slot
+    of one residue takes it without a draw.
+    """
+    rows = [[slot[0] for slot in row] for row in table]
+    halves = (range(cut), range(cut, len(table)))
+    for row_span in halves:
+        for col_span in halves:
+            for i in row_span:
+                for j in col_span:
+                    if len(table[i][j]) > 1:
+                        rows[i][j] = _draw(rng, table[i][j])
+    return rows
+
+
+def table_violations(rows, table) -> list[str]:
+    """Every entry of rows outside its slot of table, which has the same shape."""
+    return [f"entry ({i},{j}) is {v}, admissible {slot}"
+            for i, (row, slots) in enumerate(zip(rows, table))
+            for j, (v, slot) in enumerate(zip(row, slots)) if v not in slot]
+
+
+def _check_table(instance: LemmaInstance, side: int, table_of) -> bool:
+    """Check the side, then every entry against table_of(), then det = 1 mod 8.
+
+    The side goes first, so a replay whose sizes disagree with its matrix
+    is refused before a table is built for those sizes.
+    """
+    mat = instance.matrix
+    if mat is None:
+        raise HypothesisViolation("matrix instance required")
+    if mat.n_rows != side or mat.n_cols != side:
+        raise HypothesisViolation(f"shape is not {side} x {side}")
+    problems = table_violations(mat.rows, table_of())
+    if problems:
+        raise HypothesisViolation("; ".join(problems[:3]))
+    return intres.det_exact(mat) % 8 == 1
+
+
 # -- L2: block matrix with unit diagonal -------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def l2_table(m: int, n: int) -> tuple:
+    """Residue table of the (m+n) x (m+n) L2 matrix [[A, B], [C', D]].
+
+    Rows and columns split at m. A is m x m upper triangular with unit
+    diagonal, and its entry (i, j) is even when i + j is odd. B entry (i, r)
+    is even when r <= i and i + r is even. C' is C over an (n-m) x m zero
+    block, and C is upper triangular with entry (i, j) 0 mod 4 when i + j is
+    even and 0 when it is odd. D has unit diagonal and entries 0 mod 4.
+    """
+    if not 0 <= m < n:
+        raise ValueError("needs 0 <= m < n")
+
+    def slot(i: int, j: int):
+        if i == j:
+            return _ONE
+        if i < m and j < m:
+            return _ZERO if j < i else EVEN_RESIDUES if (i + j) % 2 else ALL_RESIDUES
+        if i < m:  # B entry (i, r) at r = j - m
+            return EVEN_RESIDUES if j - m <= i and (i + j - m) % 2 == 0 else ALL_RESIDUES
+        if j < m:  # C entry (c, j) at c = i - m; in the zero block, c >= m > j
+            return MULT4_RESIDUES if i - m <= j and (i - m + j) % 2 == 0 else _ZERO
+        return MULT4_RESIDUES
+
+    return tuple(tuple(slot(i, j) for j in range(m + n)) for i in range(m + n))
+
 
 def gen_l2_matrix(seed: int, m: int, n: int) -> LemmaInstance:
     """Random (m+n) x (m+n) block instance; m = 0 degenerates to lemma D shape."""
-    if not 0 <= m < n:
-        raise ValueError("needs 0 <= m < n")
-    rng = random.Random(seed)
-    size = m + n
-    rows = [[0] * size for _ in range(size)]
-    for i in range(m):  # A block, upper triangular, unit diagonal
-        rows[i][i] = 1
-        for j in range(i + 1, m):
-            rows[i][j] = _draw(rng, EVEN_RESIDUES if (i + j) % 2 else ALL_RESIDUES)
-    for i in range(m):  # B block
-        for r in range(n):
-            constrained = r <= i and (i + r) % 2 == 0
-            rows[i][m + r] = _draw(rng, EVEN_RESIDUES if constrained else ALL_RESIDUES)
-    for i in range(m):  # C block occupies the top rows under A
-        for j in range(i, m):
-            if (i + j) % 2 == 0:
-                rows[m + i][j] = _draw(rng, MULT4_RESIDUES)
-    for k in range(n):  # D block
-        rows[m + k][m + k] = 1
-        for l in range(n):
-            if l != k:
-                rows[m + k][m + l] = _draw(rng, MULT4_RESIDUES)
+    rows = _draw_matrix(random.Random(seed), l2_table(m, n), m)
     return LemmaInstance("L2", {"m": m, "n": n}, seed, IntMatrix(rows))
 
 
 def check_l2(instance: LemmaInstance) -> bool:
-    """Re-check the five block conditions, then test det = 1 mod 8."""
-    m = instance.params["m"]
-    n = instance.params["n"]
-    mat = instance.matrix
-    if mat is None:
-        raise HypothesisViolation("matrix instance required")
-    if not 0 <= m < n or mat.n_rows != m + n or mat.n_cols != m + n:
+    """Re-check every entry against l2_table, then test det = 1 mod 8."""
+    m, n = instance.params["m"], instance.params["n"]
+    if not 0 <= m < n:
         raise HypothesisViolation("shape does not match m and n")
-    rows = mat.rows
-    for i in range(m + n):
-        if rows[i][i] != 1:
-            raise HypothesisViolation(f"diagonal entry {i} is not 1")
-    for i in range(m):
-        for j in range(m):
-            if j < i and rows[i][j]:
-                raise HypothesisViolation(f"A is not upper triangular at ({i},{j})")
-            if j > i and (i + j) % 2 and rows[i][j] % 2:
-                raise HypothesisViolation(f"A entry ({i},{j}) must be even")
-    for i in range(m):
-        for r in range(n):
-            if r <= i and (i + r) % 2 == 0 and rows[i][m + r] % 2:
-                raise HypothesisViolation(f"B entry ({i},{r}) must be even")
-    for i in range(n):
-        for j in range(m):
-            v = rows[m + i][j]
-            if i >= m:
-                if v:
-                    raise HypothesisViolation(f"zero block entry ({i},{j}) is nonzero")
-                continue
-            if j < i and v:
-                raise HypothesisViolation(f"C is not upper triangular at ({i},{j})")
-            if v % 4:
-                raise HypothesisViolation(f"C entry ({i},{j}) must be 0 mod 4")
-            if (i + j) % 2 and v:
-                raise HypothesisViolation(f"C entry ({i},{j}) must vanish for odd index sum")
-    for k in range(n):
-        for l in range(n):
-            if k != l and rows[m + k][m + l] % 4:
-                raise HypothesisViolation(f"D entry ({k},{l}) must be 0 mod 4")
-    return intres.det_exact(mat) % 8 == 1
+    return _check_table(instance, m + n, functools.partial(l2_table, m, n))
 
 
 # -- GENERAL: the offset congruence ladder ------------------------------------
@@ -313,92 +336,61 @@ def _general_sizes(n: int) -> tuple[int, int]:
     return n - 4, (n - 1) // 3
 
 
-def _x_offset_free(k: int, n: int, s: int) -> bool:
-    # row support of the upper block: multiples of 4 early, evens late, plus n
-    if 0 <= k < n - s:
-        return k % 4 == 0
-    if n - s <= k < n:
-        return k % 2 == 0
-    return k == n
+@functools.lru_cache(maxsize=16)
+def general_table(n: int) -> tuple:
+    """Residue table of the (m+n) x (m+n) GENERAL matrix, m = n - 4, s = (n-1)//3.
 
+    Each slot depends on the offset k of the entry from its row's diagonal:
+    k = j - i in upper row i, with the unit at k = 0, and k = j - r in lower
+    row r, with the unit at k = m; the lower ladder also reads r at odd k.
+    """
+    m, s = _general_sizes(n)
 
-def _y_admissible(k: int, i1: int, m: int, n: int, s: int):
-    """Admissible residues for a lower-block entry at offset k, 1-based row i1."""
-    if k < 0:
-        return (0,)
-    if k == m:
-        return (1,)
-    if k < m - s:
-        return MULT4_RESIDUES if k % 4 == 0 else (0,)
-    if k < m + n - 2 * s:
-        if k % 4 == 2:
-            return EVEN_RESIDUES
-        if k % 4 == 0:
-            return MULT4_RESIDUES
-        # k odd from here on
-        return MULT4_RESIDUES if i1 + k > m else (0,)
-    return EVEN_RESIDUES
+    def upper(k: int):
+        if k == 0:
+            return _ONE
+        if 0 < k < n - s:
+            free = k % 4 == 0
+        elif n - s <= k < n:
+            free = k % 2 == 0
+        else:
+            free = k == n
+        return ALL_RESIDUES if free else _ZERO
+
+    def lower(k: int, r: int):
+        if k < 0:
+            return _ZERO
+        if k == m:
+            return _ONE
+        if k < m - s:
+            return MULT4_RESIDUES if k % 4 == 0 else _ZERO
+        if k < m + n - 2 * s:
+            if k % 4 == 2:
+                return EVEN_RESIDUES
+            if k % 4 == 0 or r + 1 + k > m:
+                return MULT4_RESIDUES
+            return _ZERO
+        return EVEN_RESIDUES
+
+    size = m + n
+    return (tuple(tuple(upper(j - i) for j in range(size)) for i in range(m))
+            + tuple(tuple(lower(j - r, r) for j in range(size)) for r in range(n)))
 
 
 def gen_general_matrix(seed: int, n: int) -> LemmaInstance:
     """Random (m+n) x (m+n) instance, m = n - 4, s = (n-1)//3."""
     m, s = _general_sizes(n)
-    rng = random.Random(seed)
-    size = m + n
-    rows = [[0] * size for _ in range(size)]
-    for i in range(m):
-        rows[i][i] = 1
-        for j in range(size):
-            k = j - i
-            if k != 0 and _x_offset_free(k, n, s):
-                rows[i][j] = _draw(rng, ALL_RESIDUES)
-    for r in range(n):
-        for j in range(size):
-            k = j - r
-            choices = _y_admissible(k, r + 1, m, n, s)
-            rows[m + r][j] = choices[0] if len(choices) == 1 else _draw(rng, choices)
+    rows = _draw_matrix(random.Random(seed), general_table(n), 0)
     return LemmaInstance(
         "GENERAL", {"n": n, "m": m, "s": s}, seed, IntMatrix(rows),
         notes="column offset m is the unit diagonal; the congruence ladder does not apply there")
 
 
-def general_hypothesis_violations(rows, n: int) -> list[str]:
-    """All hypothesis failures of a candidate GENERAL matrix, empty if none."""
-    m, s = _general_sizes(n)
-    size = m + n
-    problems = []
-    if len(rows) != size or any(len(r) != size for r in rows):
-        return [f"shape is not {size} x {size}"]
-    for i in range(m):
-        for j in range(size):
-            k = j - i
-            v = rows[i][j]
-            if k == 0:
-                if v != 1:
-                    problems.append(f"upper diagonal entry {i} is {v}, not 1")
-            elif not _x_offset_free(k, n, s) and v:
-                problems.append(f"upper block entry ({i},{j}) at offset {k} must vanish")
-    for r in range(n):
-        for j in range(size):
-            k = j - r
-            v = rows[m + r][j]
-            allowed = _y_admissible(k, r + 1, m, n, s)
-            if v not in allowed:
-                problems.append(
-                    f"lower block entry ({r},{j}) at offset {k} is {v}, admissible {allowed}")
-    return problems
-
-
 def check_general(instance: LemmaInstance) -> bool:
-    """Re-check the offset ladder, then test det = 1 mod 8."""
+    """Re-check every entry against general_table, then test det = 1 mod 8."""
     n = instance.params["n"]
-    mat = instance.matrix
-    if mat is None:
-        raise HypothesisViolation("matrix instance required")
-    problems = general_hypothesis_violations(mat.rows, n)
-    if problems:
-        raise HypothesisViolation("; ".join(problems[:3]))
-    return intres.det_exact(mat) % 8 == 1
+    m, _ = _general_sizes(n)
+    return _check_table(instance, m + n, functools.partial(general_table, n))
 
 
 # -- campaign driver -----------------------------------------------------------

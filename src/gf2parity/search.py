@@ -23,7 +23,8 @@ candidates and degrees it is exact. Violations are reported in the
 enumeration order above.
 
 Scan and audit refuse, before any work, a degree with more than
-MAX_CANDIDATES_PER_DEGREE candidates.
+MAX_CANDIDATES_PER_DEGREE candidates; scan, which holds every record,
+also refuses a query with more than that many in all.
 """
 
 from __future__ import annotations
@@ -204,8 +205,14 @@ def _scan_one_degree(args) -> list[SearchRecord]:
 
 def scan(q: SearchQuery, *, full_check: bool = False, jobs: int = 1) -> list[SearchRecord]:
     """Classify every candidate of the query, in enumeration order."""
+    total = 0
     for n in _degrees(q):
-        _check_size(n, _candidate_count(q, n))
+        count = _candidate_count(q, n)
+        _check_size(n, count)
+        total += count
+    if total > MAX_CANDIDATES_PER_DEGREE:
+        raise ValueError(f"the query has {total} candidates, more than the "
+                         f"{MAX_CANDIDATES_PER_DEGREE} allowed in one search")
     chunks = map_in_pool(_scan_one_degree, [(q, n, full_check) for n in _degrees(q)], jobs)
     return [rec for chunk in chunks for rec in chunk]
 

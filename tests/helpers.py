@@ -216,3 +216,33 @@ def poly_mul(f, g) -> list[int]:
 def poly_sub(f, g) -> list[int]:
     """Trimmed difference of integer coefficient lists, lowest first."""
     return trim(a - b for a, b in itertools.zip_longest(f, g, fillvalue=0))
+
+
+def l2_hypotheses_hold(rows, m: int, n: int) -> bool:
+    """The L2 hypotheses on an (m+n) x (m+n) matrix, block by block.
+
+    Unit diagonal; A upper triangular, even at odd i + j; B even at
+    (i, r) with r <= i and i + r even; C upper triangular, 0 mod 4 and 0 at
+    odd i + j, over a zero block; D 0 mod 4 off the diagonal.
+    """
+    if not 0 <= m < n or len(rows) != m + n or any(len(r) != m + n for r in rows):
+        return False
+    if any(rows[i][i] != 1 for i in range(m + n)):
+        return False
+    for i in range(m):
+        for j in range(m):
+            if j < i and rows[i][j]:
+                return False
+            if j > i and (i + j) % 2 and rows[i][j] % 2:
+                return False
+        for r in range(n):
+            if r <= i and (i + r) % 2 == 0 and rows[i][m + r] % 2:
+                return False
+    for i in range(n):
+        for j in range(m):
+            v = rows[m + i][j]
+            if i >= m and v:
+                return False
+            if i < m and ((j < i and v) or v % 4 or ((i + j) % 2 and v)):
+                return False
+    return all(k == l or rows[m + k][m + l] % 4 == 0 for k in range(n) for l in range(n))

@@ -6,12 +6,13 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gf2parity
-from gf2parity import cli
+from gf2parity import cli, lemma_lab
 from gf2parity.cli import main
 from gf2parity.gf2poly import MAX_DEGREE, parse_poly
 from gf2parity.lemma_lab import MAX_SIDE, build_instance, gen_l1_instance, write_replay
@@ -309,6 +310,27 @@ def test_lemma_fuzz_replay_with_a_non_integer_entry_refused(tmp_path, capsys):
     data["matrix"][0][0] = "a"
     assert run(capsys, _replay_args(tmp_path, data)) == (
         1, "", "error: the replay matrix must be rows of integers in 0..7\n")
+
+
+@pytest.mark.parametrize("lemma, data, side, table", [
+    ("l2", {"lemma_id": "L2", "params": {"m": 255, "n": 256}, "seed": 0,
+            "matrix": [[int(i == j) for j in range(5)] for i in range(5)]}, 511,
+     lemma_lab.l2_table),
+    ("general", dict(build_instance("GENERAL", 7, 0, n=9).to_json(),
+                     params={"n": 511, "m": 507, "s": 170}), 1018, lemma_lab.general_table),
+])
+def test_lemma_fuzz_replay_with_sizes_unlike_its_matrix_refused(tmp_path, capsys,
+                                                                 lemma, data, side, table):
+    # the sizes ask for a far larger side than the matrix has; the refusal
+    # comes before any residue table is looked up or built
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(data))
+    before = table.cache_info()
+    start = time.monotonic()
+    assert run(capsys, ["lemma-fuzz", "--lemma", lemma, "--replay", str(path)]) == (
+        1, "", f"error: shape is not {side} x {side}\n")
+    assert time.monotonic() - start < 1.0
+    assert table.cache_info() == before
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,5 +1,7 @@
 """Lemma generators, hypothesis re-checkers, fuzz driver, replay files."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from gf2parity import lemma_lab
 from gf2parity.gf2poly import MAX_DEGREE
 from gf2parity.intres import IntMatrix, resultant, sylvester
 from gf2parity.lemma_lab import (
+    LEMMA_IDS,
     HypothesisViolation,
     LemmaInstance,
     build_instance,
@@ -19,12 +22,13 @@ from gf2parity.lemma_lab import (
     gen_general_matrix,
     gen_l1_instance,
     gen_l2_matrix,
-    general_hypothesis_violations,
+    general_table,
     instance_seed,
     l1_pair,
     read_replay,
     recheck,
     run_fuzz,
+    table_violations,
     write_replay,
 )
 from gf2parity.swan import g_terms, lift_01, support_poly, support_universe
@@ -144,6 +148,25 @@ def test_l2_rejects_odd_c_entry():
         check_l2(bad)
 
 
+def test_l2_table_matches_block_oracle():
+    # set each entry of one instance per shape to each residue in turn: the
+    # table refuses exactly what the block conditions of helpers refuse
+    for n in range(1, 7):
+        for m in range(n):
+            inst = gen_l2_matrix(instance_seed(47, "L2", 10 * m + n), m, n)
+            for i in range(m + n):
+                for j in range(m + n):
+                    for v in range(8):
+                        rows = [list(r) for r in inst.matrix.rows]
+                        rows[i][j] = v
+                        bad = LemmaInstance("L2", inst.params, inst.seed, IntMatrix(rows))
+                        if helpers.l2_hypotheses_hold(rows, m, n):
+                            assert check_l2(bad)
+                        else:
+                            with pytest.raises(HypothesisViolation):
+                                check_l2(bad)
+
+
 def test_l2_generator_output_checks():
     rng = random.Random(17)
     for index in range(300):
@@ -169,7 +192,7 @@ def test_general_seeded_instances():
     for n in (5, 7, 9, 11):
         for index in range(60):
             inst = gen_general_matrix(instance_seed(19, "GENERAL", index), n)
-            assert not general_hypothesis_violations(inst.matrix.rows, n)
+            assert not table_violations(inst.matrix.rows, general_table(n))
             assert check_general(inst)
 
 
@@ -177,7 +200,7 @@ def test_general_rejects_off_support_entry():
     inst = gen_general_matrix(instance_seed(19, "GENERAL", 0), 7)
     rows = [list(r) for r in inst.matrix.rows]
     rows[0][1] = 3  # offset 1 is outside the upper support
-    assert general_hypothesis_violations(rows, 7)
+    assert table_violations(rows, general_table(7))
     bad = LemmaInstance("GENERAL", inst.params, inst.seed,
                         IntMatrix(rows))
     with pytest.raises(HypothesisViolation):
@@ -196,7 +219,7 @@ def test_sylvester_of_theorem_pair_meets_general_hypotheses():
         G = helpers.dense(g_terms(n, support))
         padded = G + [0] * (n - 3 - len(G))  # zero-padded to degree n - 4
         rows = [[v % 8 for v in row] for row in sylvester(F, padded).rows]
-        assert general_hypothesis_violations(rows, n) == [], (n, sorted(support))
+        assert table_violations(rows, general_table(n)) == [], (n, sorted(support))
         inst = LemmaInstance("GENERAL", {"n": n, "m": n - 4, "s": (n - 1) // 3},
                              0, IntMatrix(rows))
         assert check_general(inst)
@@ -204,6 +227,24 @@ def test_sylvester_of_theorem_pair_meets_general_hypotheses():
 
 
 # -- campaign driver and replay -------------------------------------------------------
+
+INSTANCES_DIGEST = "dd680c7d942a8b979aaefec9594eb1b834a373aad9d8c50ffe2b2c921ec2e822"
+
+
+def test_instances_match_recorded_digest():
+    # every instance a seed gives, default schedule and pinned sizes alike,
+    # as recorded before the L2 and GENERAL hypotheses became residue tables
+    digest = hashlib.sha256()
+    for lemma in LEMMA_IDS:
+        for cs in (1, 7, 123):
+            for i in range(200):
+                digest.update(json.dumps(build_instance(lemma, cs, i).to_json()).encode())
+    for i in range(20):
+        for inst in (build_instance("L2", 5, i, m=40, n=60),
+                     build_instance("GENERAL", 5, i, n=41)):
+            digest.update(json.dumps(inst.to_json()).encode())
+    assert digest.hexdigest() == INSTANCES_DIGEST
+
 
 def test_run_fuzz_green_campaigns():
     for lemma in ("D", "L1a", "L1b", "L2", "GENERAL"):

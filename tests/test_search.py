@@ -417,6 +417,19 @@ def test_cli_refuses_oversized_degrees(argv, capsys):
     assert err.startswith("error: degree ") and "candidates" in err
 
 
+@pytest.mark.parametrize("argv, candidates", [
+    (["search", "--n-lo", "5", "--n-hi", "180", "--shape", "pentanomial"], 42296804),
+    (["search", "--n-lo", "20", "--n-hi", "21", "--shape", "any-support"], 1572862),
+])
+def test_cli_refuses_oversized_queries(argv, candidates, capsys):
+    # every degree is within the bound, but scan would hold all the records
+    start = time.monotonic()
+    assert cli.main(argv) == 1
+    assert time.monotonic() - start < 5.0
+    assert capsys.readouterr() == ("", f"error: the query has {candidates} candidates, more "
+                                       f"than the {MAX_CANDIDATES_PER_DEGREE} allowed in one search\n")
+
+
 def test_pool_size_clamps(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert pool_size(1, 10) == 1
