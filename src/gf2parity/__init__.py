@@ -24,7 +24,6 @@ from .intres import (
     discriminant_int,
     resultant,
     resultant_mod8,
-    sylvester,
 )
 from .lemma_lab import (
     HypothesisViolation,
@@ -80,7 +79,6 @@ __all__ = [
     "scan",
     "squarefree_decomposition",
     "stickelberger_parity",
-    "sylvester",
     "theorem_parity",
     "trace_spectrum",
     "validate_support",

@@ -17,8 +17,8 @@ import functools
 
 
 # the highest degree accepted from text (parse_poly, swan.parse_support_spec,
-# search.SearchQuery). It bounds memory, not time: exact disc at degree 511
-# takes 6-13 s on a sparse input and 712 s on a dense one (README)
+# search.SearchQuery). It bounds memory and, with it, the time of exact disc:
+# at degree 511 about 0.3 s on a sparse input and 11-12 s on a dense one (README)
 MAX_DEGREE = 511
 
 _NEGATIVE = "a polynomial is a nonnegative int"

@@ -2,10 +2,11 @@
 
 An integer polynomial is a list of int coefficients, lowest first, whose
 length minus one is its degree in the Sylvester layout: trailing zeros
-are zero-padding. The exact resultant is the determinant of the Sylvester
-matrix, computed by fraction-free (Bareiss) elimination; the exact
-discriminant of a monic f runs the same elimination on the n x n matrix
-of multiplication by f' on Z[x]/(f), whose determinant is res(f, f').
+are zero-padding. The exact resultant comes from Collins' modular
+algorithm (J. ACM 18, 1971): Euclid over F_p for primes p below 2^62,
+joined by CRT up to the Hadamard bound; the exact discriminant of a
+monic f is +-res(f, f'). det_exact is a fraction-free (Bareiss)
+determinant, the exact check of the lemma matrices.
 
 The mod-8 resultant of a monic f and any g is a Euclid-style remainder
 sequence on polynomials packed into one int each, one coefficient per
@@ -38,38 +39,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.n_rows}x{self.n_cols})"
-
-
-def sylvester(f: list[int], g: list[int]) -> IntMatrix:
-    """Sylvester matrix of (f, g), f-coefficient rows above g-coefficient rows.
-
-    f and g are coefficient lists, lowest first, and n = len(f) - 1 and
-    m = len(g) - 1 are their degrees in the layout. The matrix is
-    (n+m) x (n+m): m rows carry the coefficients of f from the leading
-    term down, each shifted one column right of the previous, then n rows
-    carry those of g likewise. Trailing zeros of g zero-pad it; that is
-    allowed only when f is monic, where it provably leaves the
-    determinant alone.
-    """
-    if not f:
-        raise ValueError("zero polynomial on the first argument")
-    if f[-1] == 0:
-        raise ValueError("first argument has a zero leading coefficient")
-    if not g:
-        raise ValueError("the second argument needs at least one coefficient")
-    if g[-1] == 0 and f[-1] != 1:
-        raise ValueError("zero-padding the second argument requires a monic first argument")
-    n = len(f) - 1
-    m = len(g) - 1
-    a = list(reversed(f))
-    b = list(reversed(g))
-    size = n + m
-    rows = []
-    for k in range(m):
-        rows.append([0] * k + a + [0] * (size - k - n - 1))
-    for k in range(n):
-        rows.append([0] * k + b + [0] * (size - k - m - 1))
-    return IntMatrix(rows)
 
 
 def det_exact(m: IntMatrix) -> int:
@@ -221,38 +190,111 @@ def resultant_mod8(f_terms, g_terms) -> int:
     return out
 
 
+# the first twelve primes: as Miller-Rabin bases they decide primality
+# exactly below 3.18e23 (Sorenson and Webster, 2015), so below 2^62
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the primes below 2^62, largest first, found as needed; the first two, all
+# that most small resultants use, are written out
+_PRIMES = [(1 << 62) - 57, (1 << 62) - 87]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _BASES for odd n > 37, with n - 1 = 2^s d, d odd."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(n % a for a in _BASES) and all(
+        pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s)) for a in _BASES)
+
+
+def _prime(k: int) -> int:
+    """The k-th largest prime below 2^62, k = 0 for the largest."""
+    while len(_PRIMES) <= k:
+        c = _PRIMES[-1] - 2
+        while not _is_prime(c):
+            c -= 2
+        _PRIMES.append(c)
+    return _PRIMES[k]
+
+
+def _resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
+    """res(a, b) mod p by Euclid over F_p, for lists of coefficients in 0..p-1,
+    lowest first, with nonzero leading ones and deg a >= 1; a may change.
+
+    With r = a mod b, res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
+    res(b, r), and b0^deg a for a constant b. A degree-1 quotient, the usual
+    case, takes one pass; a longer one goes a term at a time, reducing mod p
+    only the coefficients that lead or remain.
+    """
+    out = 1
+    while len(b) > 1:
+        da, db, lc = len(a) - 1, len(b) - 1, b[-1]
+        inv = pow(lc, -1, p)
+        if da == db + 1:
+            q1 = a[-1] * inv % p
+            q0 = (a[-2] - q1 * b[-2]) * inv % p
+            a = [(x - q0 * y - q1 * z) % p for x, y, z in zip(a[:db], b, [0, *b])]
+        else:
+            minus_b = [-y * inv % p for y in b[:-1]]  # x^db - b / lc
+            for k in range(da - db, -1, -1):
+                q = a[k + db] % p
+                if q:
+                    for i, y in enumerate(minus_b, k):
+                        a[i] += q * y
+            a = [x % p for x in a[:db]]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return 0
+        out = out * pow(lc, da - len(a) + 1, p) * (-1 if da & db & 1 else 1) % p
+        a, b = b, a
+    return out * pow(b[0], len(a) - 1, p) % p
+
+
 def resultant(f: list[int], g: list[int]) -> int:
-    """Exact resultant of coefficient lists f and g, laid out as in sylvester."""
-    return det_exact(sylvester(f, g))
+    """Exact resultant of coefficient lists f and g, lowest first: the
+    Sylvester determinant at degrees n = len(f) - 1 and m = len(g) - 1.
 
-
-def _multiplication_matrix(f: list[int], g: list[int]) -> IntMatrix:
-    """Rows x^j g mod f over Z, j = 0..n-1, for monic f of degree n: the
-    matrix of multiplication by g on Z[x]/(f), whose determinant is res(f, g)."""
+    Trailing zeros zero-pad g, which only a monic f allows, where they
+    multiply the value by lc(f)^k = 1; a constant f gives f0^m. Euclid over
+    F_p for primes p below 2^62 that do not divide lc(f) lc(g), joined by
+    CRT until the primes' product exceeds twice the Hadamard bound
+    |f|^m |g|^n, gives the value as the symmetric residue.
+    """
+    if not f:
+        raise ValueError("zero polynomial on the first argument")
+    if f[-1] == 0:
+        raise ValueError("first argument has a zero leading coefficient")
+    if not g:
+        raise ValueError("the second argument needs at least one coefficient")
+    if g[-1] == 0 and f[-1] != 1:
+        raise ValueError("zero-padding the second argument requires a monic first argument")
     n = len(f) - 1
-    low = [(i, c) for i, c in enumerate(f[:n]) if c]
-
-    def reduce(h: list[int]) -> list[int]:
-        for k in range(len(h) - 1, n - 1, -1):
-            c = h.pop()
-            if c:
-                for i, fi in low:
-                    h[k - n + i] -= c * fi
-        return h + [0] * (n - len(h))
-
-    rows = [reduce(list(g))]
-    for _ in range(n - 1):
-        rows.append(reduce([0, *rows[-1]]))
-    return IntMatrix(rows)
+    if n == 0:
+        return f[0] ** (len(g) - 1)
+    g = g[:]
+    while g and not g[-1]:
+        g.pop()
+    if not g:
+        return 0
+    m = len(g) - 1
+    twice_bound_sq = 4 * sum(c * c for c in f) ** m * sum(c * c for c in g) ** n
+    r, prod, k = 0, 1, 0
+    while prod * prod <= twice_bound_sq:
+        p = _prime(k)
+        k += 1
+        if f[-1] * g[-1] % p:
+            v = _resultant_mod_p([c % p for c in f], [c % p for c in g], p)
+            r += prod * ((v - r) * pow(prod, -1, p) % p)
+            prod *= p
+    return r - prod if 2 * r > prod else r
 
 
 def discriminant_int(f: list[int]) -> int:
-    """Discriminant of monic f, degree >= 2: (-1)^(n(n-1)/2) res(f, f'),
-    with res(f, f') taken exactly on the n x n multiplication matrix."""
+    """Discriminant of monic f, degree >= 2: (-1)^(n(n-1)/2) res(f, f')."""
     n = len(f) - 1
     if n < 2:
         raise ValueError("discriminant needs degree at least 2")
     if f[n] != 1:
         raise ValueError("discriminant is implemented for monic polynomials")
-    r = det_exact(_multiplication_matrix(f, [i * c for i, c in enumerate(f)][1:]))
+    r = resultant(f, [i * c for i, c in enumerate(f)][1:])
     return -r if (n * (n - 1) // 2) % 2 else r

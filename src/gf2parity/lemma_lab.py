@@ -26,8 +26,9 @@ refuses any entry outside it. D binds pairs of entries and L1 the degrees
 of polynomials, so they keep their own generators and checkers.
 
 Matrices are intres.IntMatrix with entries in 0..7 and polynomials are
-coefficient tuples, lowest first; every check ends in intres.det_exact,
-the independent exact determinant. Entry distributions are uniform over
+tuples of coefficients in COEFFS, lowest first. Checks end in exact
+arithmetic independent of the mod-8 path: intres.det_exact for matrices
+and the modular intres.resultant for L1. Entry distributions are uniform over
 the residues a slot admits, with zero weighted to one half so that
 sparse and dense instances both occur. A replay file is outside input:
 LemmaInstance.from_json checks its shape and entries and holds it to the
@@ -50,6 +51,7 @@ from .pool import map_in_pool, pool_size
 
 LEMMA_IDS = ("D", "L1a", "L1b", "L2", "GENERAL")
 
+COEFFS = range(-4, 4)  # the L1 coefficients: a full residue system mod 8
 EVEN_RESIDUES = (0, 2, 4, 6)
 MULT4_RESIDUES = (0, 4)
 ALL_RESIDUES = tuple(range(8))
@@ -86,9 +88,9 @@ class LemmaInstance:
         """Read back a replay file's object, which is outside input.
 
         It must name a lemma and hold an integer seed, the integer sizes its
-        checker reads, matrix entries in 0..7 and integer coefficients; the
-        sizes are held to MAX_DEGREE and the matrix side to MAX_SIDE, as for
-        generated instances. Anything else raises ValueError.
+        checker reads, matrix entries in 0..7 and coefficients in COEFFS;
+        the sizes are held to MAX_DEGREE and the matrix side to MAX_SIDE, as
+        for generated instances. Anything else raises ValueError.
         """
         if not (isinstance(data, dict) and isinstance(data.get("params"), dict)
                 and type(data.get("seed")) is int):
@@ -110,8 +112,9 @@ class LemmaInstance:
         _check_side(lemma_id, sum(sizes) if lemma_id in ("L1a", "L1b") else len(rows))
         polys = data.get("polys", {})
         if not (isinstance(polys, dict) and all(
-                isinstance(v, list) and all(type(c) is int for c in v) for v in polys.values())):
-            raise ValueError("the replay polys must be lists of integer coefficients")
+                isinstance(v, list) and all(type(c) is int and c in COEFFS for c in v)
+                for v in polys.values())):
+            raise ValueError("the replay polys must be lists of integer coefficients in -4..3")
         return cls(lemma_id, dict(params), data["seed"],
                    IntMatrix(rows) if "matrix" in data else None,
                    {k: tuple(v) for k, v in polys.items()}, data.get("notes", ""))
@@ -129,7 +132,7 @@ def _draw(rng: random.Random, choices) -> int:
 
 def _draw_coeff(rng: random.Random) -> int:
     # integer coefficients from a full residue system mod 8
-    return _draw(rng, range(-4, 4))
+    return _draw(rng, COEFFS)
 
 
 def _degree(coeffs) -> int:
@@ -188,7 +191,7 @@ def gen_l1_instance(seed: int, variant: str, n: int, s: int) -> LemmaInstance:
         raise ValueError("needs n > 1 and s >= 1")
     rng = random.Random(seed)
     h = [0] + [_draw_coeff(rng) for _ in range(s - 1)]
-    h.append(rng.choice([c for c in range(-4, 4) if c]))
+    h.append(rng.choice([c for c in COEFFS if c]))
     polys = {"h": tuple(h)}
     count = 3 if variant == "a" else 2
     for k in range(count):
@@ -405,10 +408,10 @@ _PINS = {"D": ("m",), "L1a": ("n", "s"), "L1b": ("n", "s"), "L2": ("m", "n"),
          "GENERAL": ("n",)}
 _GENERAL_DEGREES = (5, 7, 9, 11)
 
-# the largest matrix a campaign builds, as its side: the matrix itself for
-# D, L2 and GENERAL, the Sylvester matrix for L1. Every check runs
-# det_exact on it, which takes about 0.3 s per check at side 200 and
-# grows as the cube of the side.
+# the largest matrix a campaign checks, as its side: the matrix for D, L2
+# and GENERAL, whose det_exact takes about 0.3 s at side 200 and grows as
+# the cube of the side, and n + s for L1, whose resultant takes at most
+# about 0.1 s at n + s = 200 and builds no matrix.
 MAX_SIDE = 200
 
 

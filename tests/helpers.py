@@ -2,11 +2,16 @@
 
 Everything here recomputes results from first principles with its own
 arithmetic (plain ints, shift and xor), so a bug in the package cannot
-hide inside the oracle that is supposed to catch it.
+hide inside the oracle that is supposed to catch it. The one exception is
+the exact determinant of the matrix oracles, the package's Bareiss
+det_exact, which the suite checks against Laplace expansion (cofactor_det)
+and which shares nothing with the modular resultant they check.
 """
 
 import itertools
 import random
+
+from gf2parity.intres import IntMatrix, det_exact
 
 
 def o_mul(a: int, b: int) -> int:
@@ -246,3 +251,59 @@ def l2_hypotheses_hold(rows, m: int, n: int) -> bool:
             if i < m and ((j < i and v) or v % 4 or ((i + j) % 2 and v)):
                 return False
     return all(k == l or rows[m + k][m + l] % 4 == 0 for k in range(n) for l in range(n))
+
+
+def sylvester(f, g) -> list[list[int]]:
+    """Rows of the Sylvester matrix of coefficient lists f and g, lowest first.
+
+    With n = len(f) - 1 and m = len(g) - 1 the matrix is (n+m) x (n+m): m
+    rows carry the coefficients of f from the leading term down, each
+    shifted one column right of the previous, then n rows carry those of g
+    likewise. It refuses what intres.resultant refuses: an empty or
+    zero-led f, an empty g, and trailing zeros of g under a non-monic f.
+    """
+    if not f:
+        raise ValueError("zero polynomial on the first argument")
+    if f[-1] == 0:
+        raise ValueError("first argument has a zero leading coefficient")
+    if not g:
+        raise ValueError("the second argument needs at least one coefficient")
+    if g[-1] == 0 and f[-1] != 1:
+        raise ValueError("zero-padding the second argument requires a monic first argument")
+    n, m = len(f) - 1, len(g) - 1
+    a, b = f[::-1], g[::-1]
+    return ([[0] * k + a + [0] * (m - 1 - k) for k in range(m)]
+            + [[0] * k + b + [0] * (n - 1 - k) for k in range(n)])
+
+
+def resultant_bareiss(f, g) -> int:
+    """Exact resultant as the Bareiss determinant of the Sylvester matrix."""
+    return det_exact(IntMatrix(sylvester(f, g)))
+
+
+def multiplication_matrix(f, g) -> list[list[int]]:
+    """Rows x^j g mod f over Z, j = 0..n-1, for monic f of degree n: the
+    matrix of multiplication by g on Z[x]/(f), whose determinant is res(f, g)."""
+    n = len(f) - 1
+    low = [(i, c) for i, c in enumerate(f[:n]) if c]
+
+    def reduce(h):
+        for k in range(len(h) - 1, n - 1, -1):
+            c = h.pop()
+            if c:
+                for i, fi in low:
+                    h[k - n + i] -= c * fi
+        return h + [0] * (n - len(h))
+
+    rows = [reduce(list(g))]
+    for _ in range(n - 1):
+        rows.append(reduce([0, *rows[-1]]))
+    return rows
+
+
+def discriminant_bareiss(f) -> int:
+    """Discriminant of monic f, degree >= 2, as the Bareiss determinant of
+    multiplication by f' on Z[x]/(f), with the sign (-1)^(n(n-1)/2)."""
+    n = len(f) - 1
+    r = det_exact(IntMatrix(multiplication_matrix(f, [i * c for i, c in enumerate(f)][1:])))
+    return -r if (n * (n - 1) // 2) % 2 else r

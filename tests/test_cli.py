@@ -260,7 +260,7 @@ def test_lemma_fuzz_sizes_refused_before_allocation(args, size):
 ])
 def test_lemma_fuzz_slow_sizes_refused(capsys, args, lemma, side):
     # sizes under the degree cap whose det_exact check would run for seconds
-    # to minutes per trial
+    # to minutes per trial; L1 pins are held to the same side bound
     assert run(capsys, [*FUZZ, *args]) == (
         1, "", f"error: {lemma} instance has matrix side {side}, "
                f"above the maximum of {MAX_SIDE}\n")
@@ -310,6 +310,37 @@ def test_lemma_fuzz_replay_with_a_non_integer_entry_refused(tmp_path, capsys):
     data["matrix"][0][0] = "a"
     assert run(capsys, _replay_args(tmp_path, data)) == (
         1, "", "error: the replay matrix must be rows of integers in 0..7\n")
+
+
+@pytest.mark.parametrize("digits", [4, 1000, 4000])
+def test_lemma_fuzz_replay_with_huge_coefficients_refused(tmp_path, digits):
+    # an L1a replay far below MAX_SIDE with coefficients of thousands of
+    # digits would make its exact resultant slow; generated instances draw
+    # coefficients from -4..3, and a replay is held to that range
+    data = gen_l1_instance(3, "a", 40, 4).to_json()
+    data["polys"]["f0"] = [10 ** digits + 7] * 40
+    data["polys"]["h"][-1] = -(10 ** digits)
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(gf2parity.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "gf2parity", "lemma-fuzz", "--lemma", "l1a",
+                           "--replay", str(path)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: the replay polys must be lists of integer coefficients in -4..3\n")
+    assert time.monotonic() - start < 5
+
+
+def test_lemma_fuzz_replay_at_the_coefficient_bounds_rechecks(tmp_path, capsys):
+    # the extreme coefficients -4 and 3 are what generated instances hold
+    data = gen_l1_instance(3, "a", 40, 4).to_json()
+    data["polys"]["f0"] = [3, -4] * 20
+    args = _replay_args(tmp_path, data)
+    args[2] = "l1a"
+    assert run(capsys, args) == (0, f"replay ok lemma=L1a seed={data['seed']}\n", "")
 
 
 @pytest.mark.parametrize("lemma, data, side, table", [

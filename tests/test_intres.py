@@ -1,9 +1,10 @@
-"""Sylvester matrices, exact determinants, resultants, discriminants."""
+"""Exact determinants, modular and mod-8 resultants, discriminants."""
 
 import random
 
 import pytest
 
+from gf2parity import intres
 from gf2parity.gf2poly import exponents, format_poly, from_exponents, is_squarefree
 from gf2parity.intres import (
     IntMatrix,
@@ -11,7 +12,6 @@ from gf2parity.intres import (
     discriminant_int,
     resultant,
     resultant_mod8,
-    sylvester,
 )
 from gf2parity.swan import discriminant_mod8, lift_01
 
@@ -37,26 +37,28 @@ def rand_monic(rng, degree, lo=-9, hi=9):
 # -- Sylvester layout ----------------------------------------------------------
 
 def test_sylvester_example_layout():
-    m = sylvester([1, 0, 1], [1, 1])
-    assert m.rows == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+    assert helpers.sylvester([1, 0, 1], [1, 1]) == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
 
 
 def test_sylvester_padded_unit():
     f = [3, -2, 0, 1]  # monic cubic
     g = [1, 0, 0]  # the constant 1 zero-padded to degree 2
-    assert det_exact(sylvester(f, g)) == 1
+    assert helpers.resultant_bareiss(f, g) == resultant(f, g) == 1
 
 
 def test_sylvester_padding_needs_monic():
     f = [1, 0, 2]  # leading coefficient 2
     g = [1, 0, 0]
-    with pytest.raises(ValueError):
-        sylvester(f, g)
+    for layout in (resultant, helpers.sylvester):
+        with pytest.raises(ValueError, match="monic"):
+            layout(f, g)
 
 
 def test_sylvester_zero_f_refused():
-    with pytest.raises(ValueError):
-        sylvester([], [1, 1])
+    for layout in (resultant, helpers.sylvester):
+        for f in ([], [1, 0]):
+            with pytest.raises(ValueError):
+                layout(f, [1, 1])
 
 
 # -- determinants --------------------------------------------------------------
@@ -157,7 +159,7 @@ def test_resultant_mod8_edge_cases():
     assert resultant_mod8(terms([1, 0, 1]), terms([0, 0])) == 0
     assert resultant_mod8(terms([3, -2, 0, 1]), terms([0, 0, 0])) == 0
     with pytest.raises(ValueError):
-        sylvester([1, 1], [])  # the exact path needs g's degree
+        resultant([1, 1], [])  # the exact path needs g's degree
 
 
 def test_resultant_mod8_refuses_non_monic_f():
@@ -334,6 +336,121 @@ def test_padding_invariance():
         for k in (1, 2, 3):
             padded = g + [0] * k
             assert resultant(f, padded) == base
+
+
+# -- the modular exact resultant against the Bareiss oracle ----------------------
+
+def test_primes_are_the_consecutive_primes_below_2_62():
+    sympy = pytest.importorskip("sympy")
+    p = 1 << 62
+    for k in range(24):
+        p = sympy.prevprime(p)
+        assert intres._prime(k) == p, k
+    rng = random.Random(137)
+    # odd numbers near 2^62 and below, and strong pseudoprimes to several bases
+    cases = [rng.randrange(39, 1 << 62) | 1 for _ in range(3000)] + list(range(39, 20000, 2))
+    cases += [3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051]
+    for n in cases:
+        assert intres._is_prime(n) == sympy.isprime(n), n
+
+
+def test_resultant_skips_primes_dividing_the_leading_coefficients(monkeypatch):
+    # a prime that divides lc(f) lc(g) drops a degree mod p, so it is skipped
+    used = []
+    mod_p = intres._resultant_mod_p
+    monkeypatch.setattr(intres, "_resultant_mod_p",
+                        lambda a, b, p: used.append(p) or mod_p(a, b, p))
+    p0, p1 = intres._prime(0), intres._prime(1)
+    cases = [([1, 2, p0], [3, 1]), ([5, -1, -p0], [2, 0, 1]), ([1, 1, 3 * p0], [1, p1]),
+             ([-3, 1, p0 * p1], [4, -1, 1]), ([7, p0], [1, 2, 3, -p1])]
+    for f, g in cases:
+        used.clear()
+        assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
+        lead = f[-1] * g[-1]
+        assert used and all(lead % p for p in used), (f, g, used)
+        assert (p0 in used) == (lead % p0 != 0)
+    assert resultant([1, 2, p0], [3, 1]) == p0 * 9 - 2 * 3 + 1  # f(-3)
+
+
+def test_resultant_zero_from_a_common_factor():
+    rng = random.Random(103)
+    for _ in range(100):
+        common = rand_int_poly(rng, rng.randint(1, 3), lo=-5, hi=5)
+        f = helpers.poly_mul(common, rand_int_poly(rng, rng.randint(0, 6)))
+        g = helpers.poly_mul(common, rand_int_poly(rng, rng.randint(0, 6)))
+        assert resultant(f, g) == 0 == helpers.resultant_bareiss(f, g)
+
+
+def test_resultant_negative_coefficients():
+    rng = random.Random(107)
+    for _ in range(200):
+        f = rand_int_poly(rng, rng.randint(1, 10), lo=-40, hi=-1)
+        g = rand_int_poly(rng, rng.randint(1, 10), lo=-40, hi=3)
+        assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
+
+
+def test_resultant_constant_g():
+    # res(f, c) = c^deg f for any f, monic or not
+    rng = random.Random(109)
+    for _ in range(100):
+        f = rand_int_poly(rng, rng.randint(1, 12))
+        c = rng.choice([-7, -2, -1, 1, 3, 8, 2**70 + 1])
+        assert resultant(f, [c]) == c ** (len(f) - 1) == helpers.resultant_bareiss(f, [c])
+
+
+def test_resultant_constant_f_at_every_declared_degree():
+    # a constant f gives f0^m, m the declared degree of g, also for a zero g
+    for declared in range(0, 6):
+        zero = [0] * (declared + 1)
+        assert resultant([1], zero) == 1 == helpers.resultant_bareiss([1], zero)
+        for f0 in (-3, -1, 2, 5):
+            g = [1] * declared + [4]
+            assert resultant([f0], g) == f0 ** declared == helpers.resultant_bareiss([f0], g)
+    for f in ([-1, 1], [2, 0, 1]):
+        for declared in range(0, 4):
+            assert resultant(f, [0] * (declared + 1)) == 0
+
+
+def test_resultant_matches_bareiss_oracle_on_seeded_inputs():
+    # small pairs of every kind, then larger ones up to degree 127; padded g
+    # only under a monic f, as the layout requires
+    rng = random.Random(113)
+    for _ in range(400):
+        monic = rng.random() < 0.5
+        n = rng.randint(0, 12)
+        f = rand_monic(rng, n) if monic else rand_int_poly(rng, n)
+        g = rand_int_poly(rng, rng.randint(0, 12), lo=-30, hi=30)
+        if monic:
+            g += [0] * rng.randint(0, 2)
+        assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
+    for n, m in ((127, 5), (127, 12), (96, 31), (40, 40)):
+        f, g = rand_int_poly(rng, n), rand_int_poly(rng, m)
+        assert resultant(f, g) == helpers.resultant_bareiss(f, g), (n, m)
+
+
+def test_discriminant_matches_bareiss_oracle_up_to_degree_127():
+    # the multiplication-matrix oracle: dense at degree 64, sparse at 127
+    rng = random.Random(127)
+    for n in (2, 3, 9, 33, 64):
+        f = rand_monic(rng, n, lo=-3, hi=3)
+        assert discriminant_int(f) == helpers.discriminant_bareiss(f), f
+    for exps in ((127, 5, 3, 1, 0), (127, 9, 7, 0), (127, 30, 17, 0)):
+        f = lift_01(from_exponents(exps))
+        assert discriminant_int(f) == helpers.discriminant_bareiss(f), exps
+
+
+def test_exact_discriminant_agrees_with_the_mod8_path():
+    # the CRT path and the Hensel-split Euclid over Z/8 share nothing, and
+    # together they reach degrees the Bareiss oracle cannot in test time
+    rng = random.Random(131)
+    for _ in range(6):  # f mod f' has degree below 64, which keeps each cheap
+        mids = rng.sample(range(1, 64), rng.randint(1, 6))
+        f = from_exponents({511, 0, *mids})
+        assert discriminant_int(lift_01(f)) % 8 == discriminant_mod8(f), sorted(mids)
+    for _ in range(3):
+        f = helpers.random_squarefree_bits(rng, 127)
+        assert discriminant_int(lift_01(f)) % 8 == discriminant_mod8(f) in (1, 5)
 
 
 # -- discriminants -------------------------------------------------------------

@@ -211,15 +211,18 @@ def test_padded_resultant_unit_and_natural_equal():
 
 def test_mod8_path_builds_no_int_poly(monkeypatch):
     # the mod-8 path reads terms off the support: no coefficient list from
-    # lift_01 and no matrix of the exact path
+    # lift_01, no matrix, and no step of the exact modular resultant
     def refuse(*args, **kwargs):
         raise AssertionError("integer polynomial built on the mod-8 path")
 
     monkeypatch.setattr(swan, "lift_01", refuse)
-    monkeypatch.setattr(intres, "sylvester", refuse)
     monkeypatch.setattr(intres, "IntMatrix", refuse)
+    monkeypatch.setattr(intres, "det_exact", refuse)
+    monkeypatch.setattr(intres, "_resultant_mod_p", refuse)
     with pytest.raises(AssertionError):
         swan.lift_01(1)
+    with pytest.raises(AssertionError):
+        intres.resultant([0, 1], [1, 1])
     assert verify_theorem_instance(13, {1, 9}).agree
     assert stickelberger_parity(parse_poly("x^13+x^9+x+1")) == EVEN
 
