@@ -6,17 +6,10 @@ are zero-padding. The exact resultant comes from Collins' modular
 algorithm (J. ACM 18, 1971): Euclid over F_p for primes p below 2^62,
 joined by CRT up to the Hadamard bound; the exact discriminant of a
 monic f is +-res(f, f'). det_exact is a fraction-free (Bareiss)
-determinant, the exact check of the lemma matrices.
-
-The mod-8 resultant of a monic f and any g is a Euclid-style remainder
-sequence on polynomials packed into one int each, one coefficient per
-8-bit lane. Z/8Z is not a field, so a remainder with an even leading
-coefficient cannot be made monic; it is split instead by 2-adic Hensel
-lifting into a monic factor and a factor that is 1 mod 2, and the
-resultant against the latter is taken on the reversed polynomials, where
-it becomes monic (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 6 and 15). resultant_mod8 takes both polynomials as (exponent,
-coefficient) pairs, so sparse polynomials need no dense list.
+determinant, the exact check of the lemma matrices. resultant_mod8 runs
+Euclid over Z/8 instead, with 2-adic Hensel splits where a remainder's
+leading coefficient is even (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 6 and 15).
 """
 
 from __future__ import annotations
@@ -56,14 +49,11 @@ def det_exact(m: IntMatrix) -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
                 return 0
+            a[k], a[i], sign = a[i], a[k], -sign
         pk = a[k]
         piv = pk[k]
         for i in range(k + 1, n):
@@ -193,8 +183,7 @@ def resultant_mod8(f_terms, g_terms) -> int:
 # the first twelve primes: as Miller-Rabin bases they decide primality
 # exactly below 3.18e23 (Sorenson and Webster, 2015), so below 2^62
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the primes below 2^62, largest first, found as needed; the first two, all
-# that most small resultants use, are written out
+# the primes below 2^62, largest first, found as needed past the two most used
 _PRIMES = [(1 << 62) - 57, (1 << 62) - 87]
 
 
@@ -209,38 +198,25 @@ def _is_prime(n: int) -> bool:
 def _prime(k: int) -> int:
     """The k-th largest prime below 2^62, k = 0 for the largest."""
     while len(_PRIMES) <= k:
-        c = _PRIMES[-1] - 2
-        while not _is_prime(c):
-            c -= 2
-        _PRIMES.append(c)
+        _PRIMES.append(next(c for c in range(_PRIMES[-1] - 2, 0, -2) if _is_prime(c)))
     return _PRIMES[k]
 
 
 def _resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
-    """res(a, b) mod p by Euclid over F_p, for lists of coefficients in 0..p-1,
-    lowest first, with nonzero leading ones and deg a >= 1; a may change.
-
-    With r = a mod b, res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
-    res(b, r), and b0^deg a for a constant b. A degree-1 quotient, the usual
-    case, takes one pass; a longer one goes a term at a time, reducing mod p
-    only the coefficients that lead or remain.
-    """
+    """res(a, b) mod p by Euclid over F_p, for residue lists with nonzero
+    leading entries, deg a >= 1; a may change. With r = a mod b, res(a, b) =
+    (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r)."""
     out = 1
     while len(b) > 1:
         da, db, lc = len(a) - 1, len(b) - 1, b[-1]
         inv = pow(lc, -1, p)
-        if da == db + 1:
-            q1 = a[-1] * inv % p
-            q0 = (a[-2] - q1 * b[-2]) * inv % p
-            a = [(x - q0 * y - q1 * z) % p for x, y, z in zip(a[:db], b, [0, *b])]
-        else:
-            minus_b = [-y * inv % p for y in b[:-1]]  # x^db - b / lc
-            for k in range(da - db, -1, -1):
-                q = a[k + db] % p
-                if q:
-                    for i, y in enumerate(minus_b, k):
-                        a[i] += q * y
-            a = [x % p for x in a[:db]]
+        minus_b = [-y * inv % p for y in b[:-1]]  # x^db - b / lc
+        for k in range(da - db, -1, -1):
+            q = a[k + db] % p  # mod p only where a coefficient leads or remains
+            if q:
+                for i, y in enumerate(minus_b, k):
+                    a[i] += q * y
+        a = [x % p for x in a[:db]]
         while a and not a[-1]:
             a.pop()
         if not a:
@@ -254,16 +230,12 @@ def resultant(f: list[int], g: list[int]) -> int:
     """Exact resultant of coefficient lists f and g, lowest first: the
     Sylvester determinant at degrees n = len(f) - 1 and m = len(g) - 1.
 
-    Trailing zeros zero-pad g, which only a monic f allows, where they
-    multiply the value by lc(f)^k = 1; a constant f gives f0^m. Euclid over
-    F_p for primes p below 2^62 that do not divide lc(f) lc(g), joined by
-    CRT until the primes' product exceeds twice the Hadamard bound
-    |f|^m |g|^n, gives the value as the symmetric residue.
+    Trailing zeros zero-pad g, which only a monic f allows; a constant f
+    gives f0^m. The residues mod the primes below 2^62 that miss lc(f) lc(g)
+    are joined by CRT past twice the Hadamard bound |f|^m |g|^n.
     """
-    if not f:
-        raise ValueError("zero polynomial on the first argument")
-    if f[-1] == 0:
-        raise ValueError("first argument has a zero leading coefficient")
+    if not f or not f[-1]:
+        raise ValueError("the first argument needs a nonzero leading coefficient")
     if not g:
         raise ValueError("the second argument needs at least one coefficient")
     if g[-1] == 0 and f[-1] != 1:
@@ -271,11 +243,9 @@ def resultant(f: list[int], g: list[int]) -> int:
     n = len(f) - 1
     if n == 0:
         return f[0] ** (len(g) - 1)
-    g = g[:]
-    while g and not g[-1]:
-        g.pop()
-    if not g:
+    if not any(g):
         return 0
+    g = g[:max(i for i, c in enumerate(g) if c) + 1]
     m = len(g) - 1
     twice_bound_sq = 4 * sum(c * c for c in f) ** m * sum(c * c for c in g) ** n
     r, prod, k = 0, 1, 0
@@ -296,5 +266,4 @@ def discriminant_int(f: list[int]) -> int:
         raise ValueError("discriminant needs degree at least 2")
     if f[n] != 1:
         raise ValueError("discriminant is implemented for monic polynomials")
-    r = resultant(f, [i * c for i, c in enumerate(f)][1:])
-    return -r if (n * (n - 1) // 2) % 2 else r
+    return (-1) ** (n * (n - 1) // 2) * resultant(f, [i * c for i, c in enumerate(f)][1:])

@@ -130,11 +130,6 @@ def _draw(rng: random.Random, choices) -> int:
     return rng.choice(nonzero)
 
 
-def _draw_coeff(rng: random.Random) -> int:
-    # integer coefficients from a full residue system mod 8
-    return _draw(rng, COEFFS)
-
-
 def _degree(coeffs) -> int:
     """Degree of a coefficient list, lowest first, trailing zeros aside; -1 for 0."""
     return max((i for i, c in enumerate(coeffs) if c), default=-1)
@@ -190,13 +185,11 @@ def gen_l1_instance(seed: int, variant: str, n: int, s: int) -> LemmaInstance:
     if n <= 1 or s < 1:
         raise ValueError("needs n > 1 and s >= 1")
     rng = random.Random(seed)
-    h = [0] + [_draw_coeff(rng) for _ in range(s - 1)]
+    h = [0] + [_draw(rng, COEFFS) for _ in range(s - 1)]
     h.append(rng.choice([c for c in COEFFS if c]))
     polys = {"h": tuple(h)}
-    count = 3 if variant == "a" else 2
-    for k in range(count):
-        bound = n - k * s
-        polys[f"f{k}"] = tuple(_draw_coeff(rng) for _ in range(max(bound, 0)))
+    for k in range(3 if variant == "a" else 2):
+        polys[f"f{k}"] = tuple(_draw(rng, COEFFS) for _ in range(max(n - k * s, 0)))
     return LemmaInstance("L1a" if variant == "a" else "L1b",
                          {"n": n, "s": s, "variant": variant}, seed, None, polys)
 
@@ -209,14 +202,11 @@ def l1_pair(instance: LemmaInstance) -> tuple[list[int], list[int]]:
     nonzero, as check_l1 makes sure.
     """
     n = instance.params["n"]
-    if instance.lemma_id == "L1a":
-        scales, h_scale = (4, 2, 1), 2
-    else:
-        scales, h_scale = (2, 1), 4
+    scales, h_scale = ((4, 2, 1), 2) if instance.lemma_id == "L1a" else ((2, 1), 4)
     f = [0] * n + [1]
     for k, scale in enumerate(scales):
         for i, c in enumerate(instance.polys.get(f"f{k}", ())):
-            if c:
+            if c:  # a replay's F_k may carry trailing zeros past x^n
                 f[i] += scale * c
     h = instance.polys["h"]
     g = [h_scale * c for c in h[:_degree(h) + 1]]
@@ -226,8 +216,7 @@ def l1_pair(instance: LemmaInstance) -> tuple[list[int], list[int]]:
 
 def check_l1(instance: LemmaInstance) -> bool:
     """Re-check shapes and degree bounds, then test res(f, g) = 1 mod 8."""
-    n = instance.params["n"]
-    s = instance.params["s"]
+    n, s = instance.params["n"], instance.params["s"]
     if n <= 1 or s < 1:
         raise HypothesisViolation("needs n > 1 and s >= 1")
     h = instance.polys.get("h", ())
@@ -235,8 +224,7 @@ def check_l1(instance: LemmaInstance) -> bool:
         raise HypothesisViolation("H must be divisible by x")
     if _degree(h) != s:
         raise HypothesisViolation(f"deg H = {_degree(h)}, hypotheses want exactly {s}")
-    count = 3 if instance.lemma_id == "L1a" else 2
-    for k in range(count):
+    for k in range(3 if instance.lemma_id == "L1a" else 2):
         d = _degree(instance.polys.get(f"f{k}", ()))
         if d >= max(n - k * s, 0):
             raise HypothesisViolation(f"deg F{k} = {d} breaks deg < {n - k * s}")

@@ -1,5 +1,6 @@
 """Exact determinants, modular and mod-8 resultants, discriminants."""
 
+import math
 import random
 
 import pytest
@@ -427,6 +428,11 @@ def test_resultant_matches_bareiss_oracle_on_seeded_inputs():
     for n, m in ((127, 5), (127, 12), (96, 31), (40, 40)):
         f, g = rand_int_poly(rng, n), rand_int_poly(rng, m)
         assert resultant(f, g) == helpers.resultant_bareiss(f, g), (n, m)
+    # orthogonal Sylvester rows: res = 1 + c^2 is the Hadamard bound itself,
+    # and near 3/4 of the first prime it needs the factor 2 in the stopping
+    # rule, since one prime would give its symmetric residue res - p
+    c = math.isqrt(3 * intres._prime(0) // 4)
+    assert resultant([c, 1], [1, -c]) == helpers.resultant_bareiss([c, 1], [1, -c]) == 1 + c * c
 
 
 def test_discriminant_matches_bareiss_oracle_up_to_degree_127():

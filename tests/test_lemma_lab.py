@@ -102,6 +102,16 @@ def test_l1_refuses_broken_degree_bound():
         check_l1(inst)
 
 
+def test_l1_replay_zeros_past_x_n_recheck():
+    # the degree bounds read F_k without trailing zeros, so a replay may
+    # carry zeros past x^n; they add nothing to f
+    inst = gen_l1_instance(instance_seed(7, "L1a", 1), "a", 12, 3)
+    padded = dict(inst.polys, f0=inst.polys["f0"] + (0,) * 6)
+    back = LemmaInstance.from_json(dict(inst.to_json(), polys={k: list(v) for k, v in padded.items()}))
+    assert l1_pair(back) == l1_pair(inst)
+    assert check_l1(back)
+
+
 def test_l1_refuses_h_not_divisible_by_x():
     inst = LemmaInstance("L1a", {"n": 5, "s": 1, "variant": "a"}, 0,
                          polys={"h": (1, 1), "f0": (), "f1": (), "f2": ()})
