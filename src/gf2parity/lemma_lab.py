@@ -19,26 +19,27 @@ Lemma ids:
   offset-based congruence ladder; determinant = 1 mod 8.
 
 The L2 and GENERAL hypotheses bind each entry on its own, so each is
-stated once, as a residue table (l2_table, general_table) that holds the
-residues mod 8 every entry admits, as a tuple of row tuples of residue
-tuples. The generator draws each entry from its slot and the checker
-refuses any entry outside it. D binds pairs of entries and L1 the degrees
-of polynomials, so they keep their own generators and checkers.
+stated once, as a residue table (l2_table, general_table): a tuple of row
+tuples of the residues mod 8 each entry admits. The generator draws from
+the table and the checker refuses any entry outside it. D binds pairs of
+entries and L1 the degrees of polynomials, so they keep their own
+generators and checkers.
 
 Matrices are intres.IntMatrix with entries in 0..7 and polynomials are
 tuples of coefficients in COEFFS, lowest first. Checks end in exact
 arithmetic independent of the mod-8 path: intres.det_exact for matrices
-and the modular intres.resultant for L1. Entry distributions are uniform over
-the residues a slot admits, with zero weighted to one half so that
-sparse and dense instances both occur. A replay file is outside input:
-LemmaInstance.from_json checks its shape and entries and holds it to the
-bounds of generated instances.
+and the modular intres.resultant for L1. A slot of two or more residues
+is {0, r, 2r, ...}: it gives 0 half the time, so that sparse and dense
+instances both occur, and else a uniform nonzero residue. Each instance's
+own random.Random draws it row by row from cached plans (_draw_row). A
+replay file is outside input, read by LemmaInstance.from_json.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -85,13 +86,9 @@ class LemmaInstance:
 
     @classmethod
     def from_json(cls, data) -> LemmaInstance:
-        """Read back a replay file's object, which is outside input.
-
-        It must name a lemma and hold an integer seed, the integer sizes its
-        checker reads, matrix entries in 0..7 and coefficients in COEFFS;
-        the sizes are held to MAX_DEGREE and the matrix side to MAX_SIDE, as
-        for generated instances. Anything else raises ValueError.
-        """
+        """Read back a replay file's object, which is outside input: a lemma id, an
+        integer seed, the integer sizes its checker reads, held to MAX_DEGREE and
+        MAX_SIDE, entries in 0..7 and coefficients in COEFFS, or ValueError."""
         if not (isinstance(data, dict) and isinstance(data.get("params"), dict)
                 and type(data.get("seed")) is int):
             raise ValueError("a replay is an object with lemma_id, params and an integer seed")
@@ -120,14 +117,34 @@ class LemmaInstance:
                    {k: tuple(v) for k, v in polys.items()}, data.get("notes", ""))
 
 
-def _draw(rng: random.Random, choices) -> int:
-    # zero half the time so sparse and dense hypotheses both get exercised
-    nonzero = [c for c in choices if c != 0]
-    if not nonzero:
-        return 0
-    if 0 in choices and rng.random() < 0.5:
-        return 0
-    return rng.choice(nonzero)
+@functools.lru_cache(maxsize=256)
+def _plans(kind, *sizes) -> tuple:
+    """Draw plans, built on first use: one per row of the "L2" or "GENERAL" table at
+    sizes, or else one row of sizes[0] copies of the slots in kind. A plan holds a
+    row's fixed entries and its wide slots {0, r, 2r, ...} as (index, r, mask)."""
+
+    def plan(slots):
+        return ([slot[0] if len(slot) == 1 else 0 for slot in slots],
+                tuple((j, slot[1], len(slot) - 1) for j, slot in enumerate(slots) if len(slot) > 1))
+
+    if kind in ("L2", "GENERAL"):
+        return tuple(map(plan, l2_table(*sizes) if kind == "L2" else general_table(*sizes)))
+    return plan(kind * sizes[0])
+
+
+def _draw_row(getrandbits, plan) -> list[int]:
+    """A row of plan from one getrandbits call, 4 bits a wide slot: the low bit gives 0
+    half the time, the bits above it index the nonzero residues, index 0 drawn again."""
+    row, wide = plan[0].copy(), plan[1]
+    bits = getrandbits(4 * len(wide))
+    for j, step, mask in wide:
+        if bits & 1:
+            i = bits >> 1 & mask
+            while not i:  # a slot with one nonzero residue needs no redraw
+                i = getrandbits(3) & mask if mask > 1 else 1
+            row[j] = step * i
+        bits >>= 4
+    return row
 
 
 def _degree(coeffs) -> int:
@@ -141,17 +158,14 @@ def gen_d_instance(seed: int, size: int) -> LemmaInstance:
     """Random matrix with even off-diagonal pairs multiplying to 0 mod 8."""
     if size < 1:
         raise ValueError("size must be at least 1")
-    rng = random.Random(seed)
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = _draw(rng, ALL_RESIDUES)
-    for i in range(size):
-        for j in range(i + 1, size):
-            a = _draw(rng, MULT4_RESIDUES)
-            b = _draw(rng, EVEN_RESIDUES)
-            if rng.random() < 0.5:
-                a, b = b, a
-            rows[i][j], rows[j][i] = a, b
+    draw = random.Random(seed).getrandbits
+    diagonal = _draw_row(draw, _plans((ALL_RESIDUES,), size))
+    rows = [[0] * i + [v] + [0] * (size - 1 - i) for i, v in enumerate(diagonal)]
+    for i in range(size - 1):  # the pairs right of the diagonal and below it
+        pairs = _draw_row(draw, _plans((MULT4_RESIDUES, EVEN_RESIDUES), size - 1 - i))
+        swaps = draw(size - 1 - i)  # a pair trades places half the time
+        for k, (j, a, b) in enumerate(zip(range(i + 1, size), pairs[::2], pairs[1::2])):
+            rows[i][j], rows[j][i] = (b, a) if swaps >> k & 1 else (a, b)
     return LemmaInstance("D", {"size": size}, seed, IntMatrix(rows))
 
 
@@ -184,12 +198,17 @@ def gen_l1_instance(seed: int, variant: str, n: int, s: int) -> LemmaInstance:
         raise ValueError("variant must be 'a' or 'b'")
     if n <= 1 or s < 1:
         raise ValueError("needs n > 1 and s >= 1")
-    rng = random.Random(seed)
-    h = [0] + [_draw(rng, COEFFS) for _ in range(s - 1)]
-    h.append(rng.choice([c for c in COEFFS if c]))
-    polys = {"h": tuple(h)}
-    for k in range(3 if variant == "a" else 2):
-        polys[f"f{k}"] = tuple(_draw(rng, COEFFS) for _ in range(max(n - k * s, 0)))
+    draw = random.Random(seed).getrandbits
+    lengths = [max(n - k * s, 0) for k in range(3 if variant == "a" else 2)]
+    lead = draw(3)
+    while not lead:  # H's leading coefficient is nonzero
+        lead = draw(3)
+    row = [lead, *_draw_row(draw, _plans((ALL_RESIDUES,), s - 1 + sum(lengths)))]
+    coeffs = iter([c - 8 if c > 3 else c for c in row])  # residues 0..7 as -4..3
+    lead = next(coeffs)
+    polys = {"h": (0, *itertools.islice(coeffs, s - 1), lead)}
+    polys.update((f"f{k}", tuple(itertools.islice(coeffs, size)))
+                 for k, size in enumerate(lengths))
     return LemmaInstance("L1a" if variant == "a" else "L1b",
                          {"n": n, "s": s, "variant": variant}, seed, None, polys)
 
@@ -234,24 +253,6 @@ def check_l1(instance: LemmaInstance) -> bool:
 
 # -- residue tables: L2 and GENERAL ---------------------------------------------
 
-def _draw_matrix(rng: random.Random, table, cut: int) -> list[list[int]]:
-    """Rows drawn from table: one _draw per slot of two or more residues.
-
-    Rows and columns split at cut into four blocks, drawn in the order
-    top-left, top-right, bottom-left, bottom-right, each row by row; a slot
-    of one residue takes it without a draw.
-    """
-    rows = [[slot[0] for slot in row] for row in table]
-    halves = (range(cut), range(cut, len(table)))
-    for row_span in halves:
-        for col_span in halves:
-            for i in row_span:
-                for j in col_span:
-                    if len(table[i][j]) > 1:
-                        rows[i][j] = _draw(rng, table[i][j])
-    return rows
-
-
 def table_violations(rows, table) -> list[str]:
     """Every entry of rows outside its slot of table, which has the same shape."""
     return [f"entry ({i},{j}) is {v}, admissible {slot}"
@@ -260,11 +261,8 @@ def table_violations(rows, table) -> list[str]:
 
 
 def _check_table(instance: LemmaInstance, side: int, table_of) -> bool:
-    """Check the side, then every entry against table_of(), then det = 1 mod 8.
-
-    The side goes first, so a replay whose sizes disagree with its matrix
-    is refused before a table is built for those sizes.
-    """
+    """Check the side, then every entry against table_of(), then det = 1 mod 8; the side
+    goes first, so a replay whose sizes disagree with its matrix builds no table."""
     mat = instance.matrix
     if mat is None:
         raise HypothesisViolation("matrix instance required")
@@ -305,9 +303,13 @@ def l2_table(m: int, n: int) -> tuple:
     return tuple(tuple(slot(i, j) for j in range(m + n)) for i in range(m + n))
 
 
-def gen_l2_matrix(seed: int, m: int, n: int) -> LemmaInstance:
-    """Random (m+n) x (m+n) block instance; m = 0 degenerates to lemma D shape."""
-    rows = _draw_matrix(random.Random(seed), l2_table(m, n), m)
+def gen_l2_matrix(seed: int, m: int | None = None, n: int | None = None) -> LemmaInstance:
+    """Random (m+n) x (m+n) block instance; without sizes, 0 <= m < n and m + n <= 12."""
+    rng = random.Random(seed)
+    if n is None:
+        n = rng.randint(1, 11)
+        m = rng.randint(0, min(n - 1, 12 - n))
+    rows = [_draw_row(rng.getrandbits, plan) for plan in _plans("L2", m, n)]
     return LemmaInstance("L2", {"m": m, "n": n}, seed, IntMatrix(rows))
 
 
@@ -371,7 +373,8 @@ def general_table(n: int) -> tuple:
 def gen_general_matrix(seed: int, n: int) -> LemmaInstance:
     """Random (m+n) x (m+n) instance, m = n - 4, s = (n-1)//3."""
     m, s = _general_sizes(n)
-    rows = _draw_matrix(random.Random(seed), general_table(n), 0)
+    draw = random.Random(seed).getrandbits
+    rows = [_draw_row(draw, plan) for plan in _plans("GENERAL", n)]
     return LemmaInstance(
         "GENERAL", {"n": n, "m": m, "s": s}, seed, IntMatrix(rows),
         notes="column offset m is the unit diagonal; the congruence ladder does not apply there")
@@ -446,11 +449,8 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
         _check_side(lemma_id, n + s)
         return gen_l1_instance(seed, "a" if lemma_id == "L1a" else "b", n, s)
     if lemma_id == "L2":
-        if n is None:
-            rng = random.Random(seed ^ 0x5F5F)
-            n = rng.randint(1, 11)
-            m = rng.randint(0, min(n - 1, 12 - n))
-        _check_side(lemma_id, m + n)
+        if n is not None:
+            _check_side(lemma_id, m + n)
         return gen_l2_matrix(seed, m, n)
     if n is None:
         n = _GENERAL_DEGREES[index % len(_GENERAL_DEGREES)]

@@ -1,16 +1,26 @@
 """Lemma generators, hypothesis re-checkers, fuzz driver, replay files."""
 
+import collections
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gf2parity
 from gf2parity import lemma_lab
 from gf2parity.gf2poly import MAX_DEGREE
 from gf2parity.intres import IntMatrix, resultant
 from gf2parity.lemma_lab import (
+    ALL_RESIDUES,
+    COEFFS,
+    EVEN_RESIDUES,
     LEMMA_IDS,
+    MULT4_RESIDUES,
     HypothesisViolation,
     LemmaInstance,
     build_instance,
@@ -25,6 +35,7 @@ from gf2parity.lemma_lab import (
     general_table,
     instance_seed,
     l1_pair,
+    l2_table,
     read_replay,
     recheck,
     run_fuzz,
@@ -236,14 +247,108 @@ def test_sylvester_of_theorem_pair_meets_general_hypotheses():
         checked += 1
 
 
-# -- campaign driver and replay -------------------------------------------------------
+# -- the draws ---------------------------------------------------------------------
 
-INSTANCES_DIGEST = "dd680c7d942a8b979aaefec9594eb1b834a373aad9d8c50ffe2b2c921ec2e822"
+def _shares_hold(kind, counts):
+    # 0 half the time, each of the k nonzero residues 1/(2k) of the time, with
+    # margins of 0.02 and 0.01 that the draw count makes at least 5 sigma
+    total, nonzero = sum(counts.values()), [v for v in kind if v]
+    share = 1 / (2 * len(nonzero))
+    assert set(counts) <= set(kind), kind
+    assert total >= 25 * max(0.25 / 0.02 ** 2, share * (1 - share) / 0.01 ** 2), (kind, total)
+    assert abs(counts[0] / total - 0.5) <= 0.02, (kind, counts[0] / total)
+    for v in nonzero:
+        assert abs(counts[v] / total - share) <= 0.01, (kind, v, counts[v] / total)
+
+
+def test_generators_keep_the_entry_distribution():
+    tally = {kind: collections.Counter()
+             for kind in (ALL_RESIDUES, EVEN_RESIDUES, MULT4_RESIDUES, COEFFS)}
+    swapped = known = 0
+    for i in range(2000):
+        rows = gen_d_instance(instance_seed(53, "D", i), 8).matrix.rows
+        for r in range(8):
+            tally[ALL_RESIDUES][rows[r][r]] += 1
+            for c in range(r + 1, 8):
+                upper, lower = rows[r][c], rows[c][r]
+                assert (upper in MULT4_RESIDUES and lower in EVEN_RESIDUES
+                        or upper in EVEN_RESIDUES and lower in MULT4_RESIDUES), (upper, lower)
+                if upper in (2, 6) or lower in (2, 6):  # a 2 or 6 is the even draw
+                    known += 1
+                    swapped += upper in (2, 6)
+                    tally[MULT4_RESIDUES][lower if upper in (2, 6) else upper] += 1
+
+    leads = collections.Counter()
+    for i in range(8000):
+        n, s = lemma_lab._L1_PAIRS[i // 2 % 4]
+        polys = gen_l1_instance(instance_seed(59, "L1", i), "ab"[i % 2], n, s).polys
+        h = polys["h"]
+        assert len(h) == s + 1 and h[0] == 0
+        leads[h[-1]] += 1
+        for k in range(3 if i % 2 == 0 else 2):
+            assert len(polys[f"f{k}"]) == max(n - k * s, 0)
+        tally[COEFFS].update(c for key, f in polys.items() for c in (f[1:-1] if key == "h" else f))
+    assert set(leads) == set(COEFFS) - {0}  # H's leading coefficient: 1/7 each, 0.02 is 5 sigma
+    assert all(abs(count / 8000 - 1 / 7) <= 0.02 for count in leads.values()), leads
+
+    sizes = set()
+    matrices = [(gen_l2_matrix(instance_seed(61, "L2", i)), None) for i in range(2000)]
+    matrices += [(gen_general_matrix(instance_seed(67, "GENERAL", i), n), general_table(n))
+                 for n, count in ((5, 100), (7, 100), (9, 100), (11, 100), (41, 60))
+                 for i in range(count)]
+    for inst, table in matrices:
+        if table is None:
+            sizes.add((inst.params["m"], inst.params["n"]))
+            table = l2_table(inst.params["m"], inst.params["n"])
+        assert not table_violations(inst.matrix.rows, table)
+        for row, slots in zip(inst.matrix.rows, table):
+            for v, slot in zip(row, slots):
+                if len(slot) > 1:
+                    tally[slot][v] += 1
+    # the default L2 sizes: every 0 <= m < n with m + n <= 12
+    assert sizes == {(m, n) for n in range(1, 12) for m in range(min(n - 1, 12 - n) + 1)}
+
+    for kind, counts in tally.items():
+        _shares_hold(kind, counts)
+    assert known >= 25 * 0.25 / 0.02 ** 2 and abs(swapped / known - 0.5) <= 0.02
+
+
+# the instance a seed gave for each lemma id before rows were drawn in bulk:
+# build_instance(lemma, 7, 1) for D, L1a, L1b and GENERAL, and index 7 for L2
+PARENT_REPLAYS = [
+    {"lemma_id": "D", "params": {"size": 3}, "seed": 65258172151619857,
+     "matrix": [[1, 2, 0], [4, 7, 4], [0, 0, 7]]},
+    {"lemma_id": "L1a", "params": {"n": 8, "s": 2, "variant": "a"}, "seed": 2009054322413227207,
+     "polys": {"h": [0, 0, -2], "f0": [2, -1, 0, 0, -1, -1, -4, 0], "f1": [0, -3, 0, 1, 0, 1],
+               "f2": [3, 0, 2, 0]}},
+    {"lemma_id": "L1b", "params": {"n": 8, "s": 2, "variant": "b"}, "seed": 17362475935096272372,
+     "polys": {"h": [0, -1, -3], "f0": [0, 3, -3, 0, -1, -1, 0, 0], "f1": [1, -3, 0, 3, -1, 0]}},
+    {"lemma_id": "L2", "params": {"m": 2, "n": 3}, "seed": 6759570033673992712,
+     "matrix": [[1, 0, 0, 0, 0], [0, 1, 0, 2, 0], [4, 0, 1, 0, 4], [0, 4, 0, 1, 0],
+                [0, 0, 0, 0, 1]]},
+    {"lemma_id": "GENERAL", "params": {"n": 7, "m": 3, "s": 2}, "seed": 3028691569333901276,
+     "matrix": [[1, 0, 0, 0, 1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 1, 0],
+                [0, 0, 1, 0, 0, 0, 0, 0, 2, 0], [0, 0, 0, 1, 0, 4, 2, 2, 4, 0],
+                [0, 0, 0, 2, 1, 0, 4, 0, 0, 0], [0, 0, 4, 4, 0, 1, 4, 0, 2, 0],
+                [0, 0, 0, 4, 0, 6, 1, 0, 0, 4], [0, 0, 0, 0, 0, 0, 2, 1, 4, 0],
+                [0, 0, 0, 0, 0, 0, 4, 0, 1, 4], [0, 0, 0, 0, 0, 0, 0, 0, 6, 1]],
+     "notes": "column offset m is the unit diagonal; the congruence ladder does not apply there"},
+]
+
+
+@pytest.mark.parametrize("data", PARENT_REPLAYS, ids=lambda d: d["lemma_id"])
+def test_replays_of_the_earlier_generator_recheck(data):
+    inst = LemmaInstance.from_json(data)
+    assert inst.to_json() == data
+    assert recheck(inst)
+
+
+INSTANCES_DIGEST = "b674a826174f1458a90901d294de38fa258fb0c5e8bb5b03c597c7155053763b"
 
 
 def test_instances_match_recorded_digest():
     # every instance a seed gives, default schedule and pinned sizes alike,
-    # as recorded before the L2 and GENERAL hypotheses became residue tables
+    # as recorded when rows were first drawn in bulk from cached draw plans
     digest = hashlib.sha256()
     for lemma in LEMMA_IDS:
         for cs in (1, 7, 123):
@@ -255,6 +360,33 @@ def test_instances_match_recorded_digest():
             digest.update(json.dumps(inst.to_json()).encode())
     assert digest.hexdigest() == INSTANCES_DIGEST
 
+
+GENERATION_DIGEST = """
+import hashlib, json
+from gf2parity.lemma_lab import LEMMA_IDS, build_instance
+digest = hashlib.sha256()
+for lemma in LEMMA_IDS:
+    for i in range(200):
+        digest.update(json.dumps(build_instance(lemma, 11, i).to_json()).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_generation_does_not_depend_on_the_hash_seed(capsys):
+    # --jobs workers are spawned, each with its own hash seed and its own plan
+    # cache, so what a seed gives must not depend on either
+    exec(GENERATION_DIGEST, {})
+    here = capsys.readouterr().out
+    src = str(Path(gf2parity.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p),
+        PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
+    proc = subprocess.run([sys.executable, "-c", GENERATION_DIGEST], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, here, "")
+
+
+# -- campaign driver and replay -------------------------------------------------------
 
 def test_run_fuzz_green_campaigns():
     for lemma in ("D", "L1a", "L1b", "L2", "GENERAL"):
