@@ -9,7 +9,10 @@ monic f is +-res(f, f'). det_exact is a fraction-free (Bareiss)
 determinant, the exact check of the lemma matrices. resultant_mod8 runs
 Euclid over Z/8 instead, with 2-adic Hensel splits where a remainder's
 leading coefficient is even (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 6 and 15).
+Algebra, ch. 6 and 15). It packs the coefficients into lanes just wide
+enough that a product of two packed polynomials is one multiply, and
+after a split it reduces only the top 3u coefficients of the remainder
+against a cofactor of degree u: the rest vanish mod 8.
 """
 
 from __future__ import annotations
@@ -66,65 +69,48 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _pack(terms) -> int:
-    """(index, entry) pairs with distinct indices, each entry reduced mod 8
-    into the 8-bit lane of its index; lane 0 is the lowest byte."""
-    return sum((c % 8) << 8 * e for e, c in terms)
+def _lane_bytes(lanes: int) -> int:
+    """Fewest bytes w with 49 lanes < 256^w: a lane that wide holds any
+    coefficient of a product of two polynomials of at most lanes
+    coefficients in 0..7."""
+    return -(-(49 * lanes).bit_length() // 8)
 
 
-def _divmod8(e: int, p: int, d: int, mask: int) -> tuple[int, int]:
+def _divmod8(e: int, p: int, d: int, bits: int, mask: int) -> tuple[int, int]:
     """Quotient and remainder of packed e by packed monic p of degree d, mod 8.
 
-    Top lane down: a lane k >= d holding c is cleared by adding
-    (8 - c) x^(k-d) p, whose lanes are at most 49, so no sum reaches 256
-    and no carry crosses a lane before the mask.
+    Every lane of e holds 0..7, so the top nonzero lane k is the quotient
+    coefficient c there; adding (8 - c) x^(k-d) p clears it, and lanes of
+    at most 56 carry nothing across a lane before the mask.
     """
     q = 0
-    for k in range((e.bit_length() - 1) >> 3, d - 1, -1):
-        c = e >> 8 * k & 7
-        if c:
-            e = (e + ((8 - c) * p << 8 * (k - d))) & mask
-            q |= c << 8 * (k - d)
+    while (k := (e.bit_length() - 1) // bits) >= d:
+        c = e >> bits * k
+        e = (e + ((8 - c) * p << bits * (k - d))) & mask
+        q |= c << bits * (k - d)
     return q, e
 
 
-def _widen(x: int, w: int) -> int:
-    """Packed x with each 8-bit lane moved into a w-byte lane."""
-    out = bytearray(w * ((x.bit_length() + 7) >> 3))
-    out[::w] = x.to_bytes(len(out) // w, "little")
-    return int.from_bytes(out, "little")
-
-
-def _mul8(x: int, y: int, mask: int) -> int:
-    """Product of packed x and y, mod 8 in each lane.
-
-    Kronecker substitution: in w-byte lanes no product coefficient, at most
-    49 times the shorter length, reaches the next lane, and the low byte of
-    each wide lane is the coefficient mod 256.
-    """
-    lanes = (min(x.bit_length(), y.bit_length()) + 7) >> 3
-    w = 1 + (49 * lanes).bit_length() // 8
-    z = _widen(x, w) * _widen(y, w)
-    wide = z.to_bytes(w * -(-z.bit_length() // (8 * w)), "little")
-    return int.from_bytes(wide[::w], "little") & mask
-
-
-def _reverse(x: int, degree: int) -> int:
-    """x^degree x(1/x) for packed x of degree at most degree."""
-    return int.from_bytes(x.to_bytes(degree + 1, "little"), "big")
+def _reverse(x: int, degree: int, w: int) -> int:
+    """x^degree x(1/x) for packed x of degree at most degree in w-byte lanes."""
+    return int.from_bytes(x.to_bytes(w * (degree + 1), "little"), "big") >> 8 * (w - 1)
 
 
 def resultant_mod8(f_terms, g_terms) -> int:
     """Resultant of monic f and g reduced into 0..7, each polynomial given
     as (exponent, coefficient) pairs with distinct exponents.
 
-    f_terms must be a sequence; its highest exponent is the degree n. For
-    monic f this is the product of g over the roots of f, so it does not
-    depend on how far g is padded, and it depends on g only mod f and mod 8.
+    f_terms must be a sequence, g_terms any iterable; f's highest exponent is
+    its degree n. For monic f this is the product of g over the roots of f,
+    so it does not depend on how far g is padded, and it depends on g only
+    mod f and mod 8.
 
-    Euclid on packed polynomials (see _pack), with a work list of pairs
-    (A, B), A monic of degree a, whose resultants multiply into the answer;
-    every step is exact mod 8 and lowers a:
+    Coefficients mod 8 are packed into lanes of w bytes, lane 0 lowest,
+    with lanes = 1 + max(n, top exponent of g) and w = _lane_bytes(lanes):
+    a product of two reduced polynomials has coefficients at most 49 lanes,
+    so its lanes mod 8 are one multiply and a mask. Euclid runs on a work
+    list of pairs (A, B), A monic of degree a, whose resultants multiply
+    into the answer; every step is exact mod 8 and lowers a:
     - B is reduced mod A. For a <= 2 the closed forms B(-c0) and
       b0^2 - c1 b0 b1 + c0 b1^2 end the pair. An all-even B gives
       2^a times a resultant, 0 mod 8 for a >= 3.
@@ -135,47 +121,55 @@ def resultant_mod8(f_terms, g_terms) -> int:
       U = 1 mod 2. res(A, P) continues as in the odd case. U(0) is odd, so
       with U* and A* the reversals at degrees u = deg U and a and V the
       monic U(0) U*, res(A, U) = U(0)^a res(V, A* mod V): the signs
-      (-1)^(au) of reversing both and of swapping cancel.
+      (-1)^(au) of reversing both and of swapping cancel. Only the lowest
+      3u coefficients of A* count: U = 1 mod 2 gives V = x^u mod 2, so
+      x^u = 2W mod V for some W, and x^(3u) = 8 W^3 = 0 mod V and 8.
+      Those are the top 3u coefficients of A, reversed.
     """
     n, lead = max(f_terms, default=(0, 0))
     if lead != 1:
         raise ValueError("the mod-8 resultant needs a monic first argument")
-    g = _pack(g_terms)
-    lanes = max(n + 1, (g.bit_length() + 7) >> 3)
-    ones = int.from_bytes(b"\x01" * lanes, "little")
+    g_terms = list(g_terms)
+    lanes = 1 + max(n, max((e for e, _ in g_terms), default=0))
+    w = _lane_bytes(lanes)
+    bits = 8 * w
+    f, g = (sum((c % 8) << bits * e for e, c in t) for t in (f_terms, g_terms))
+    ones = int.from_bytes(b"\x01".ljust(w, b"\0") * lanes, "little")
     sevens = 7 * ones
     eights = 8 * ones
     out = 1
-    work = [(_pack(f_terms), n, g)]
+    work = [(f, n, g)]
     while work:
         a_poly, a, b = work.pop()
         while a:
-            b = _divmod8(b, a_poly, a, sevens)[1]
+            b = _divmod8(b, a_poly, a, bits, sevens)[1]
             if a <= 2:
                 b0 = b & 7
                 if a == 2:
-                    b1 = b >> 8 & 7
-                    b0 = b0 * b0 - (a_poly >> 8 & 7) * b0 * b1 + (a_poly & 7) * b1 * b1
+                    b1 = b >> bits & 7
+                    b0 = b0 * b0 - (a_poly >> bits & 7) * b0 * b1 + (a_poly & 7) * b1 * b1
                 out = out * b0 % 8
                 break
             if not b & ones:
                 return 0
-            m = (b.bit_length() - 1) >> 3
-            d = ((b & ones).bit_length() - 1) >> 3
+            m = (b.bit_length() - 1) // bits
+            d = ((b & ones).bit_length() - 1) // bits
             if d == m:
-                lc = b >> 8 * m & 7
+                lc = b >> bits * m
                 out = out * (lc if a & 1 else 1) * (-1 if a & m & 1 else 1) % 8
                 a_poly, a, b = b * lc & sevens, m, a_poly
                 continue
             p, u = b & ones, 1
             for k in (1, 2):
-                e = (((b | eights) - _mul8(p, u, sevens)) & sevens) >> k
-                q, r = _divmod8(e, p, d, sevens)
+                e = ((b | eights) - (p * u & sevens) & sevens) >> k
+                q, r = _divmod8(e, p, d, bits, sevens)
                 p = (p + (r << k)) & sevens
                 u = (u + (q << k)) & sevens
             u0 = u & 7
             out = out * (u0 if a & 1 else 1) * (-1 if a & d & 1 else 1) % 8
-            work.append((_reverse(u, m - d) * u0 & sevens, m - d, _reverse(a_poly, a)))
+            t = max(0, a + 1 - 3 * (m - d))
+            work.append((_reverse(u, m - d, w) * u0 & sevens, m - d,
+                         _reverse(a_poly >> bits * t, a - t, w)))
             a_poly, a, b = p, d, a_poly
     return out
 

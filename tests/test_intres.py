@@ -293,6 +293,40 @@ def test_resultant_mod8_terms_dense_even_heavy_at_the_cap():
         assert got == helpers.det_mod8(_mod8_multiplication_rows(f, g))
 
 
+def test_resultant_mod8_long_hensel_factors():
+    # g = P U mod 8 with P monic and U = 1 mod 2, both of degree 6 or more:
+    # splitting g multiplies two such factors, whose product coefficients
+    # can pass 255 and would carry out of a one-byte lane
+    rng = random.Random(3)
+    for _ in range(200):
+        d, u = rng.randint(6, 26), rng.randint(6, 26)
+        P = [rng.randint(0, 7) for _ in range(d)] + [1]
+        U = [rng.choice((1, 3, 5, 7))] + [rng.choice((0, 2, 4, 6)) for _ in range(u - 1)]
+        g = [c % 8 for c in helpers.poly_mul(P, U + [rng.choice((2, 4, 6))])]
+        f = [rng.randint(0, 7) for _ in range(rng.randint(d + u + 1, 60))] + [1]
+        assert resultant_mod8(terms(f), terms(g)) == resultant(f, g) % 8, (f, g)
+
+
+def test_lane_bytes_is_the_fewest_that_hold_a_product_coefficient():
+    # a product of two polynomials with at most `lanes` coefficients in 0..7
+    # has coefficients up to 49 lanes; one byte holds 5 lanes, two 1,337
+    widths = [intres._lane_bytes(lanes) for lanes in range(1, 4097)]
+    for lanes, w in enumerate(widths, 1):
+        assert 49 * lanes < 256 ** w and (w == 1 or 49 * lanes >= 256 ** (w - 1)), lanes
+    assert widths.index(2) + 1 == 6 and widths.index(3) + 1 == 1338
+
+
+def test_resultant_mod8_one_shot_g_far_above_f():
+    # g_terms is read once, as a generator, and its top exponent sets the
+    # lanes: reducing it mod f first divides across about 300 lanes
+    rng = random.Random(5)
+    for n in (1, 3, 4, 9, 40):
+        f = rand_monic(rng, n)
+        g = [rng.randint(-9, 9) for _ in range(300)] + [rng.choice((1, 2, 3))]
+        want = resultant(f, g) % 8
+        assert resultant_mod8(terms(f), ((e, c) for e, c in enumerate(g) if c)) == want, n
+
+
 def test_r1_reduction_invariance():
     # monic f: R(f, g) = R(f, g - q f) for any integer polynomial q
     rng = random.Random(47)
@@ -457,6 +491,12 @@ def test_exact_discriminant_agrees_with_the_mod8_path():
     for _ in range(3):
         f = helpers.random_squarefree_bits(rng, 127)
         assert discriminant_int(lift_01(f)) % 8 == discriminant_mod8(f) in (1, 5)
+    # query-shaped, with middle exponents above n/2: each splits off a U of
+    # degree u below a third of the remainder it pairs with, so only the
+    # top 3u coefficients of that remainder reach the cofactor pair
+    for exps in ((255, 244, 221, 27, 0), (255, 190, 170, 0), (511, 300, 0), (511, 258, 0)):
+        f = from_exponents(exps)
+        assert discriminant_int(lift_01(f)) % 8 == discriminant_mod8(f), exps
 
 
 # -- discriminants -------------------------------------------------------------
