@@ -161,7 +161,7 @@ def resultant_mod8(f_terms, g_terms) -> int:
                 continue
             p, u = b & ones, 1
             for k in (1, 2):
-                e = ((b | eights) - (p * u & sevens) & sevens) >> k
+                e = (((b | eights) - (p * u & sevens)) & sevens) >> k
                 q, r = _divmod8(e, p, d, bits, sevens)
                 p = (p + (r << k)) & sevens
                 u = (u + (q << k)) & sevens
