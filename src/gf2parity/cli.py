@@ -31,10 +31,9 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_factors(args) -> int:
-    f = gf2poly.parse_poly(args.poly)
-    distinct = gf2poly.count_distinct_irreducible_factors(f)
-    mult = gf2poly.count_factors_with_multiplicity(f)
-    print(f"distinct={distinct} multiplicity={mult}")
+    parts = gf2poly.squarefree_decomposition(gf2poly.parse_poly(args.poly))
+    counts = [(gf2poly.count_distinct_irreducible_factors(g), e) for g, e in parts]
+    print(f"distinct={sum(t for t, _ in counts)} multiplicity={sum(t * e for t, e in counts)}")
     return 0
 
 

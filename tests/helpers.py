@@ -71,6 +71,26 @@ def oracle_distinct_count(bits: int) -> int:
     return count
 
 
+def berlekamp_count(bits: int) -> int:
+    """Distinct irreducible factors of f, degree n >= 1, as n minus the F2
+    rank of all n rows x^(2i) + x^i mod f, each row's power built from the
+    last by a shift of two and reduced, with no pivot found ahead of time.
+    """
+    n = bits.bit_length() - 1
+    rows = []
+    cur = 1
+    for i in range(n):
+        rows.append(cur ^ (1 << i))
+        cur = o_divmod(cur << 2, bits)[1]
+    pivots = {}
+    for r in rows:
+        while r and r.bit_length() in pivots:
+            r ^= pivots[r.bit_length()]
+        if r:
+            pivots[r.bit_length()] = r
+    return n - len(pivots)
+
+
 def oracle_multiplicity_count(bits: int) -> int:
     if bits.bit_length() - 1 > 12:
         raise ValueError("oracle only exact up to degree 12")

@@ -50,6 +50,12 @@ def test_factors(capsys):
     assert out == "distinct=1 multiplicity=4\n"
 
 
+@pytest.mark.parametrize("poly", ["0", "1"])
+def test_factors_below_degree_one_refused(capsys, poly):
+    assert run(capsys, ["factors", poly]) == (
+        1, "", "error: factor counting needs degree at least 1\n")
+
+
 def test_disc(capsys):
     rc, out, _ = run(capsys, ["disc", "x^3+x+1"])
     assert rc == 0

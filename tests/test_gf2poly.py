@@ -228,6 +228,51 @@ def test_count_matches_oracle_exhaustively():
                     == helpers.oracle_distinct_count(bits)), hex(bits)
 
 
+def test_count_by_hand_at_degrees_1_to_3():
+    by_hand = {"x": 1, "x+1": 1, "x^2": 1, "x^2+1": 1, "x^2+x": 2, "x^2+x+1": 1,
+               "x^3": 1, "x^3+1": 2, "x^3+x": 2, "x^3+x+1": 1, "x^3+x^2": 2,
+               "x^3+x^2+1": 1, "x^3+x^2+x": 2, "x^3+x^2+x+1": 1}
+    for text, t in by_hand.items():
+        assert count_distinct_irreducible_factors(P(text)) == t, text
+        assert helpers.berlekamp_count(P(text)) == t, text
+
+
+def _count_inputs(rng: random.Random, trials: int):
+    """Seeded inputs of degree 13..300 of seven kinds, in turn."""
+    x_plus_1 = [1]
+    for _ in range(300):
+        x_plus_1.append(helpers.o_mul(x_plus_1[-1], 3))
+    for trial in range(trials):
+        kind = trial % 7
+        d = rng.randint(13, 300)
+        if kind == 0:
+            f = helpers.random_bits(rng, d)
+        elif kind == 1:
+            # 3..7 terms, with or without a constant term
+            f = 1 << d | sum(1 << e for e in rng.sample(range(d), rng.randint(2, 6)))
+        elif kind == 2:
+            h = helpers.random_bits(rng, rng.randint(1, d // 3))
+            g = helpers.random_bits(rng, d - 2 * (h.bit_length() - 1))
+            f = helpers.o_mul(g, helpers.o_mul(h, h))
+        elif kind == 3:
+            h = helpers.random_bits(rng, max(7, d // 2))
+            f = helpers.o_mul(h, h)
+        elif kind == 4:
+            k = rng.randint(1, d - 1)
+            f = helpers.random_bits(rng, d - k) << k
+        elif kind == 5:
+            f = x_plus_1[d]
+        else:
+            f = helpers.random_squarefree_bits(rng, d)
+        yield f
+
+
+def test_count_matches_all_rows_berlekamp():
+    # the half-rows count against every row eliminated, degrees 13..300
+    for f in _count_inputs(random.Random(151), 2000):
+        assert count_distinct_irreducible_factors(f) == helpers.berlekamp_count(f), hex(f)
+
+
 def test_multiplicity_examples():
     assert count_factors_with_multiplicity(P("x^2+1")) == 2
     assert count_factors_with_multiplicity(P("x^4+x^2+1")) == 2
@@ -309,15 +354,19 @@ def test_factor_counts_match_sympy_above_oracle_cap():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(83)
-    repeated = 0
+    inputs = []
     for trial in range(30):
         if trial % 3 == 0:
             # g * h^2, so multiplicities above one occur
             h = helpers.random_bits(rng, rng.randint(1, 10))
             g = helpers.random_bits(rng, rng.randint(13, 40))
-            f = helpers.o_mul(g, helpers.o_mul(h, h))
+            inputs.append(helpers.o_mul(g, helpers.o_mul(h, h)))
         else:
-            f = helpers.random_bits(rng, rng.randint(13, 60))
+            inputs.append(helpers.random_bits(rng, rng.randint(13, 60)))
+    # sparse inputs at degree 127, where the count eliminates 63 of 127 rows
+    inputs += [P("x^127+x^97+x^33+x^5+1"), P("x^127+x^122+x^83+x^66+1"), P("x^127+x^64+x^2")]
+    repeated = 0
+    for f in inputs:
         _, factors = sympy.factor_list(sum(x ** e for e in exponents(f)), x, modulus=2)
         assert count_distinct_irreducible_factors(f) == len(factors), format_poly(f)
         total = sum(int(m) for _, m in factors)
