@@ -41,7 +41,9 @@ def det_exact(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination.
 
     Pivots are the first nonzero entry found scanning the current column
-    downward; a row swap flips the sign. All divisions are exact.
+    downward; a row swap flips the sign. All divisions are exact. A row
+    whose pivot-column entry is 0 steps to a_ij * piv / prev, still exact
+    as every entry is a minor, so it is left alone when piv == prev.
     """
     if m.n_rows != m.n_cols:
         raise ValueError("determinant of a non-square matrix")
@@ -62,9 +64,13 @@ def det_exact(m: IntMatrix) -> int:
         for i in range(k + 1, n):
             ri = a[i]
             cik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * piv - cik * pk[j]) // prev
-            ri[k] = 0
+            if cik:
+                for j in range(k + 1, n):
+                    ri[j] = (ri[j] * piv - cik * pk[j]) // prev
+                ri[k] = 0
+            elif piv != prev:
+                for j in range(k + 1, n):
+                    ri[j] = ri[j] * piv // prev
         prev = piv
     return sign * a[n - 1][n - 1]
 

@@ -30,9 +30,9 @@ tuples of coefficients in COEFFS, lowest first. Checks end in exact
 arithmetic independent of the mod-8 path: intres.det_exact for matrices
 and the modular intres.resultant for L1. A slot of two or more residues
 is {0, r, 2r, ...}: it gives 0 half the time, so that sparse and dense
-instances both occur, and else a uniform nonzero residue. Each instance's
-own random.Random draws it row by row from cached plans (_draw_row). A
-replay file is outside input, read by LemmaInstance.from_json.
+instances both occur, and else a uniform nonzero residue. Rows come from
+cached plans (_draw_row), all fed by one shake_128 stream of the seed
+(_shake_bits). A replay file is outside input, read by LemmaInstance.from_json.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import functools
 import hashlib
 import itertools
 import json
-import random
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -132,6 +132,28 @@ def _plans(kind, *sizes) -> tuple:
     return plan(kind * sizes[0])
 
 
+def _shake_bits(seed: int):
+    """getrandbits(k) reading shake_128(str(seed)) as one little-endian integer, low bits
+    first; a draw past its end extends the digest by h.digest(2 * taken)[taken:]."""
+    h = hashlib.shake_128(str(seed).encode())
+    pool, left, taken = int.from_bytes(h.digest(96), "little"), 768, 96
+
+    def getrandbits(k: int) -> int:
+        nonlocal pool, left, taken
+        while left < k:
+            pool |= int.from_bytes(h.digest(2 * taken)[taken:], "little") << left
+            left, taken = left + 8 * taken, 2 * taken
+        bits, pool, left = pool & ((1 << k) - 1), pool >> k, left - k
+        return bits
+
+    return getrandbits
+
+
+def _below(getrandbits, k: int) -> int:
+    """Uniform in 0..k-1: the first draw below k of the fewest bits that cover it."""
+    return next(v for v in iter(functools.partial(getrandbits, (k - 1).bit_length()), -1) if v < k)
+
+
 def _draw_row(getrandbits, plan) -> list[int]:
     """A row of plan from one getrandbits call, 4 bits a wide slot: the low bit gives 0
     half the time, the bits above it index the nonzero residues, index 0 drawn again."""
@@ -158,7 +180,7 @@ def gen_d_instance(seed: int, size: int) -> LemmaInstance:
     """Random matrix with even off-diagonal pairs multiplying to 0 mod 8."""
     if size < 1:
         raise ValueError("size must be at least 1")
-    draw = random.Random(seed).getrandbits
+    draw = _shake_bits(seed)
     diagonal = _draw_row(draw, _plans((ALL_RESIDUES,), size))
     rows = [[0] * i + [v] + [0] * (size - 1 - i) for i, v in enumerate(diagonal)]
     for i in range(size - 1):  # the pairs right of the diagonal and below it
@@ -198,7 +220,7 @@ def gen_l1_instance(seed: int, variant: str, n: int, s: int) -> LemmaInstance:
         raise ValueError("variant must be 'a' or 'b'")
     if n <= 1 or s < 1:
         raise ValueError("needs n > 1 and s >= 1")
-    draw = random.Random(seed).getrandbits
+    draw = _shake_bits(seed)
     lengths = [max(n - k * s, 0) for k in range(3 if variant == "a" else 2)]
     lead = draw(3)
     while not lead:  # H's leading coefficient is nonzero
@@ -268,9 +290,9 @@ def _check_table(instance: LemmaInstance, side: int, table_of) -> bool:
         raise HypothesisViolation("matrix instance required")
     if mat.n_rows != side or mat.n_cols != side:
         raise HypothesisViolation(f"shape is not {side} x {side}")
-    problems = table_violations(mat.rows, table_of())
-    if problems:
-        raise HypothesisViolation("; ".join(problems[:3]))
+    table, chain = table_of(), itertools.chain.from_iterable
+    if not all(map(operator.contains, chain(table), chain(mat.rows))):
+        raise HypothesisViolation("; ".join(table_violations(mat.rows, table)[:3]))
     return intres.det_exact(mat) % 8 == 1
 
 
@@ -305,11 +327,11 @@ def l2_table(m: int, n: int) -> tuple:
 
 def gen_l2_matrix(seed: int, m: int | None = None, n: int | None = None) -> LemmaInstance:
     """Random (m+n) x (m+n) block instance; without sizes, 0 <= m < n and m + n <= 12."""
-    rng = random.Random(seed)
+    draw = _shake_bits(seed)
     if n is None:
-        n = rng.randint(1, 11)
-        m = rng.randint(0, min(n - 1, 12 - n))
-    rows = [_draw_row(rng.getrandbits, plan) for plan in _plans("L2", m, n)]
+        n = 1 + _below(draw, 11)
+        m = _below(draw, min(n - 1, 12 - n) + 1)
+    rows = [_draw_row(draw, plan) for plan in _plans("L2", m, n)]
     return LemmaInstance("L2", {"m": m, "n": n}, seed, IntMatrix(rows))
 
 
@@ -373,7 +395,7 @@ def general_table(n: int) -> tuple:
 def gen_general_matrix(seed: int, n: int) -> LemmaInstance:
     """Random (m+n) x (m+n) instance, m = n - 4, s = (n-1)//3."""
     m, s = _general_sizes(n)
-    draw = random.Random(seed).getrandbits
+    draw = _shake_bits(seed)
     rows = [_draw_row(draw, plan) for plan in _plans("GENERAL", n)]
     return LemmaInstance(
         "GENERAL", {"n": n, "m": m, "s": s}, seed, IntMatrix(rows),
@@ -400,9 +422,9 @@ _PINS = {"D": ("m",), "L1a": ("n", "s"), "L1b": ("n", "s"), "L2": ("m", "n"),
 _GENERAL_DEGREES = (5, 7, 9, 11)
 
 # the largest matrix a campaign checks, as its side: the matrix for D, L2
-# and GENERAL, whose det_exact takes about 0.3 s at side 200 and grows as
-# the cube of the side, and n + s for L1, whose resultant takes at most
-# about 0.1 s at n + s = 200 and builds no matrix.
+# and GENERAL, whose det_exact takes at most about 2.5 s at side 200 (D;
+# L2 0.8 s, GENERAL 0.5 s) and grows as the cube of the side, and n + s for
+# L1, whose resultant takes at most about 0.15 s at n + s = 200 and builds no matrix.
 MAX_SIDE = 200
 
 

@@ -84,6 +84,44 @@ def test_det_matches_cofactor_oracle():
         assert det_exact(IntMatrix(rows)) == helpers.cofactor_det(rows)
 
 
+def sparse_rows(rng: random.Random, size: int) -> list[list[int]]:
+    """At least half zeros: a unit upper-triangular leading block of random side,
+    at most size^2 // 2 nonzeros in all, and now and then a zero row or column."""
+    block = rng.randint(0, min(size, size * size // 2))
+    rows = [[int(i == j < block) for j in range(size)] for i in range(size)]
+    free = [(i, j) for i in range(size) for j in range(size) if not (i >= j and j < block)]
+    for i, j in rng.sample(free, rng.randint(0, size * size // 2 - block)):
+        rows[i][j] = rng.choice([v for v in range(-9, 10) if v])
+    if rng.random() < 0.3:
+        rows[rng.randrange(size)] = [0] * size
+    if rng.random() < 0.3:
+        j = rng.randrange(size)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def test_det_skips_settled_rows_exactly():
+    # rows with a zero in the pivot column are skipped when piv == prev and
+    # scaled by piv / prev otherwise; the unit block makes the first case common
+    rng = random.Random(43)
+    for _ in range(600):
+        rows = sparse_rows(rng, rng.randint(1, 7))
+        assert 2 * sum(v == 0 for row in rows for v in row) >= len(rows) ** 2
+        assert det_exact(IntMatrix(rows)) == helpers.cofactor_det(rows), rows
+
+
+def test_det_matches_sympy_on_lemma_matrices():
+    sympy = pytest.importorskip("sympy")
+    from gf2parity.lemma_lab import gen_general_matrix, gen_l2_matrix, instance_seed
+
+    for i in range(40):
+        for inst in (gen_general_matrix(instance_seed(71, "GENERAL", i), 11),
+                     gen_l2_matrix(instance_seed(73, "L2", i), 5, 7)):
+            rows = inst.matrix.rows
+            assert det_exact(inst.matrix) == sympy.Matrix(rows).det(), rows
+
+
 def test_det_non_square_refused():
     with pytest.raises(ValueError):
         det_exact(IntMatrix([[1, 2, 3], [4, 5, 6]]))

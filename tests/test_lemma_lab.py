@@ -313,8 +313,10 @@ def test_generators_keep_the_entry_distribution():
     assert known >= 25 * 0.25 / 0.02 ** 2 and abs(swapped / known - 0.5) <= 0.02
 
 
-# the instance a seed gave for each lemma id before rows were drawn in bulk:
-# build_instance(lemma, 7, 1) for D, L1a, L1b and GENERAL, and index 7 for L2
+# the instance a seed gave for each lemma id under the two earlier generators,
+# build_instance(lemma, 7, 1) for D, L1a, L1b and GENERAL and index 7 for L2:
+# first from a random.Random per entry, then from a random.Random per instance
+# with rows drawn in bulk
 PARENT_REPLAYS = [
     {"lemma_id": "D", "params": {"size": 3}, "seed": 65258172151619857,
      "matrix": [[1, 2, 0], [4, 7, 4], [0, 0, 7]]},
@@ -333,22 +335,64 @@ PARENT_REPLAYS = [
                 [0, 0, 0, 4, 0, 6, 1, 0, 0, 4], [0, 0, 0, 0, 0, 0, 2, 1, 4, 0],
                 [0, 0, 0, 0, 0, 0, 4, 0, 1, 4], [0, 0, 0, 0, 0, 0, 0, 0, 6, 1]],
      "notes": "column offset m is the unit diagonal; the congruence ladder does not apply there"},
+    {"lemma_id": "D", "params": {"size": 3}, "seed": 65258172151619857,
+     "matrix": [[0, 4, 6], [0, 0, 0], [4, 6, 0]]},
+    {"lemma_id": "L1a", "params": {"n": 8, "s": 2, "variant": "a"}, "seed": 2009054322413227207,
+     "polys": {"h": [0, 2, 1], "f0": [0, -3, 0, 0, 1, 0, 0, 0], "f1": [2, 0, 0, 0, -2, -4],
+               "f2": [0, 0, -3, -4]}},
+    {"lemma_id": "L1b", "params": {"n": 8, "s": 2, "variant": "b"}, "seed": 17362475935096272372,
+     "polys": {"h": [0, -3, -4], "f0": [1, 0, -3, 1, 0, 0, 0, 0], "f1": [1, 0, 2, -1, 0, 3]}},
+    {"lemma_id": "L2", "params": {"m": 0, "n": 3}, "seed": 6759570033673992712,
+     "matrix": [[1, 4, 0], [0, 1, 4], [4, 0, 1]]},
+    {"lemma_id": "GENERAL", "params": {"n": 7, "m": 3, "s": 2}, "seed": 3028691569333901276,
+     "matrix": [[1, 0, 0, 0, 7, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                [0, 0, 1, 0, 0, 0, 7, 0, 3, 0], [0, 0, 0, 1, 0, 4, 4, 0, 0, 0],
+                [0, 4, 0, 0, 1, 4, 0, 2, 0, 6], [0, 0, 0, 0, 2, 1, 4, 4, 0, 0],
+                [0, 0, 0, 0, 0, 6, 1, 0, 4, 4], [0, 0, 0, 0, 0, 0, 4, 1, 0, 0],
+                [0, 0, 0, 0, 0, 0, 4, 4, 1, 4], [0, 0, 0, 0, 0, 0, 4, 4, 6, 1]],
+     "notes": "column offset m is the unit diagonal; the congruence ladder does not apply there"},
 ]
 
 
-@pytest.mark.parametrize("data", PARENT_REPLAYS, ids=lambda d: d["lemma_id"])
+@pytest.mark.parametrize("data", PARENT_REPLAYS, ids=[  # one per lemma id and generator
+    d["lemma_id"] + ("-bulk" if k >= len(LEMMA_IDS) else "") for k, d in enumerate(PARENT_REPLAYS)])
 def test_replays_of_the_earlier_generator_recheck(data):
     inst = LemmaInstance.from_json(data)
     assert inst.to_json() == data
     assert recheck(inst)
 
 
-INSTANCES_DIGEST = "b674a826174f1458a90901d294de38fa258fb0c5e8bb5b03c597c7155053763b"
+def test_instance_bits_are_one_shake_128_stream():
+    # draws of mixed widths read one long digest in order, past the first 96 bytes,
+    # across one doubling and, at the 5000-bit draw, across two in one call
+    widths = [0, 1, 3, 4, 17, 64, 0, 250, 5, 700, 3, 2000, 9, 5000, 6]
+    for seed in (0, 1, -5, instance_seed(3, "D", 5), 1 << 70):
+        draw = lemma_lab._shake_bits(seed)
+        stream = int.from_bytes(hashlib.shake_128(str(seed).encode()).digest(
+            sum(widths) // 8 + 1), "little")
+        for k in widths:
+            assert draw(k) == stream & ((1 << k) - 1), (seed, k)
+            stream >>= k
+
+
+def test_rejection_draws_are_uniform():
+    # _below takes the L2 default sizes: 1 + _below(11) and then _below(m choices)
+    for k in (1, 2, 5, 6, 11):
+        total, share = 400 * k, 1 / k
+        counts = collections.Counter(
+            lemma_lab._below(lemma_lab._shake_bits(instance_seed(79, str(k), i)), k)
+            for i in range(total))
+        assert set(counts) == set(range(k))
+        sigma = (share * (1 - share) / total) ** 0.5  # 5 sigma below
+        assert all(abs(c / total - share) <= 5 * sigma for c in counts.values()), counts
+
+
+INSTANCES_DIGEST = "d9898711e99c974cc68792b3cd1797af10fbbcb9c44b0f35a1bcbda4130c86a8"
 
 
 def test_instances_match_recorded_digest():
     # every instance a seed gives, default schedule and pinned sizes alike,
-    # as recorded when rows were first drawn in bulk from cached draw plans
+    # as recorded when each instance was first drawn from one shake_128 stream
     digest = hashlib.sha256()
     for lemma in LEMMA_IDS:
         for cs in (1, 7, 123):
