@@ -9,7 +9,6 @@ audit violation or fuzz counterexample.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 
@@ -89,6 +88,8 @@ def _print_table(header, rows) -> None:
 
 
 def _print_csv(header, rows) -> None:
+    import csv  # here, so that the other formats and commands do not load it
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

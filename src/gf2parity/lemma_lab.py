@@ -42,7 +42,6 @@ import hashlib
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import gf2poly
@@ -63,16 +62,22 @@ class HypothesisViolation(ValueError):
     """An instance fails the lemma hypotheses; not a counterexample."""
 
 
-@dataclass
 class LemmaInstance:
     """One generated instance: the lemma, its sizes, seed, and payload."""
 
-    lemma_id: str
-    params: dict
-    seed: int
-    matrix: IntMatrix | None = None
-    polys: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    notes: str = ""
+    def __init__(self, lemma_id: str, params: dict, seed: int, matrix: IntMatrix | None = None,
+                 polys: dict[str, tuple[int, ...]] | None = None, notes: str = ""):
+        self.lemma_id = lemma_id
+        self.params = params
+        self.seed = seed
+        self.matrix = matrix
+        self.polys = {} if polys is None else polys
+        self.notes = notes
+
+    def __eq__(self, other):
+        if type(other) is not LemmaInstance:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self) -> dict:
         out = {"lemma_id": self.lemma_id, "params": dict(self.params), "seed": self.seed}
@@ -480,12 +485,14 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
     return gen_general_matrix(seed, n)
 
 
-@dataclass
 class FuzzResult:
-    lemma_id: str
-    trials: int
-    checked: int
-    failure: LemmaInstance | None
+    """A campaign's outcome: trials asked for, how many ran, and the first failure."""
+
+    def __init__(self, lemma_id: str, trials: int, checked: int, failure: LemmaInstance | None):
+        self.lemma_id = lemma_id
+        self.trials = trials
+        self.checked = checked
+        self.failure = failure
 
     @property
     def ok(self) -> bool:

@@ -35,7 +35,7 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import gf2poly
 from . import swan
@@ -50,46 +50,39 @@ _M1_BOUNDS = ("none", "below-n-over-3", "at-least-n-over-3")
 MAX_CANDIDATES_PER_DEGREE = 2**20 - 1
 
 
-@dataclass(frozen=True)
-class SearchQuery:
+class SearchQuery(namedtuple("SearchQuery", "n_lo n_hi shape exponents m1_bound mod8")):
     """What to enumerate: degree window, shape, and exponent filters."""
 
-    n_lo: int
-    n_hi: int
-    shape: str = "trinomial"
-    exponents: str = "all"
-    m1_bound: str = "none"
-    mod8: frozenset[int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_lo > self.n_hi:
+    def __new__(cls, n_lo: int, n_hi: int, shape: str = "trinomial", exponents: str = "all",
+                m1_bound: str = "none", mod8: frozenset[int] | None = None):
+        if n_lo > n_hi:
             raise ValueError("empty degree range")
-        if self.n_lo < 1:
+        if n_lo < 1:
             raise ValueError("degrees start at 1")
-        gf2poly.check_degree(self.n_hi)
-        if self.shape not in _SHAPES:
+        gf2poly.check_degree(n_hi)
+        if shape not in _SHAPES:
             raise ValueError(f"shape must be one of {_SHAPES}")
-        if self.exponents not in _EXPONENT_FILTERS:
+        if exponents not in _EXPONENT_FILTERS:
             raise ValueError(f"exponent filter must be one of {_EXPONENT_FILTERS}")
-        if self.m1_bound not in _M1_BOUNDS:
+        if m1_bound not in _M1_BOUNDS:
             raise ValueError(f"m1 bound must be one of {_M1_BOUNDS}")
-        if self.mod8 is not None:
-            object.__setattr__(self, "mod8", frozenset(self.mod8))
-            if not self.mod8 <= {1, 3, 5, 7}:
+        if mod8 is not None:
+            mod8 = frozenset(mod8)
+            if not mod8 <= {1, 3, 5, 7}:
                 raise ValueError("mod8 filter must be a subset of {1,3,5,7}")
+        return super().__new__(cls, n_lo, n_hi, shape, exponents, m1_bound, mod8)
 
 
-@dataclass(frozen=True)
-class SearchRecord:
-    """One classified candidate; exponents descend from n down to 0."""
+class SearchRecord(namedtuple("SearchRecord", "n exponents irreducible am_single_trace "
+                                              "m1_lt_n_over_3 predicted_parity observed_parity")):
+    """One classified candidate; exponents descend from n down to 0.
 
-    n: int
-    exponents: tuple[int, ...]
-    irreducible: bool
-    am_single_trace: bool
-    m1_lt_n_over_3: bool
-    predicted_parity: str | None
-    observed_parity: str
+    predicted_parity is None where the rule does not apply.
+    """
+
+    __slots__ = ()
 
     def poly(self) -> int:
         return gf2poly.from_exponents(self.exponents)
@@ -217,16 +210,10 @@ def scan(q: SearchQuery, *, full_check: bool = False, jobs: int = 1) -> list[Sea
     return [rec for chunk in chunks for rec in chunk]
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    """Audit outcome for one degree."""
+class AuditRow(namedtuple("AuditRow", "n n_mod_8 asserted candidates irreducible violations")):
+    """Audit outcome for one degree; violations is a tuple of formatted polynomials."""
 
-    n: int
-    n_mod_8: int
-    asserted: bool
-    candidates: int
-    irreducible: int
-    violations: tuple[str, ...]
+    __slots__ = ()
 
     def to_json_line(self) -> str:
         return json.dumps({
@@ -239,9 +226,11 @@ class AuditRow:
         }, separators=(", ", ": "))
 
 
-@dataclass
 class AuditReport:
-    rows: list[AuditRow]
+    """The audit's rows, one per degree in ascending order."""
+
+    def __init__(self, rows: list[AuditRow]):
+        self.rows = rows
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,7 @@ exact discriminant needs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import gf2poly
 from . import intres
@@ -152,23 +152,23 @@ def check_g_terms(n: int, terms) -> None:
             raise ValueError(f"x^{i} is a term of G2, but 3*{i} < {n} fails")
 
 
-@dataclass(frozen=True)
-class SupportSpec:
+class SupportSpec(namedtuple("SupportSpec", "n support valid")):
     """A degree n with a set of middle exponents; validity is recorded.
 
     The constructor never rejects a support, it only computes the valid
     flag; n itself must be odd and at least 5.
     """
 
-    n: int
-    support: frozenset[int]
-    valid: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n % 2 == 0 or self.n < 5:
+    def __new__(cls, n: int, support):
+        if n % 2 == 0 or n < 5:
             raise ValueError("n must be odd and at least 5")
-        object.__setattr__(self, "support", frozenset(int(i) for i in self.support))
-        object.__setattr__(self, "valid", validate_support(self.n, self.support))
+        support = frozenset(int(i) for i in support)
+        return super().__new__(cls, n, support, validate_support(n, support))
+
+    def __getnewargs__(self):
+        return self.n, self.support  # valid is always recomputed
 
     def poly(self) -> int:
         return support_poly(self.n, self.support)
@@ -196,20 +196,12 @@ def parse_support_spec(text: str) -> SupportSpec:
     return SupportSpec(n, support)
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(namedtuple("ParityReport", "spec poly squarefree t_distinct t_multiplicity "
+                                              "disc_mod8 predicted_parity observed_parity agree "
+                                              "failed_identities", defaults=((),))):
     """Outcome of checking one support instance end to end."""
 
-    spec: SupportSpec
-    poly: int
-    squarefree: bool
-    t_distinct: int
-    t_multiplicity: int
-    disc_mod8: int
-    predicted_parity: str
-    observed_parity: str
-    agree: bool
-    failed_identities: tuple[str, ...] = ()
+    __slots__ = ()
 
     def to_json_line(self) -> str:
         out = {

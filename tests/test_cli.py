@@ -469,6 +469,17 @@ _GOLDEN_SEARCHES = [["--n-lo", "5", "--n-hi", "21", "--shape", "trinomial"],
 _FORMATS = ["jsonl", "csv", "table"]
 
 
+def test_parity_query_imports_no_record_or_csv_machinery():
+    # start-up is most of a one-off query: the records are plain classes, and
+    # csv loads only for --format csv (-S keeps site's own imports out)
+    src = str(Path(gf2parity.__file__).parents[1])
+    code = ("import sys; from gf2parity.cli import main; main(['parity', 'x^21+x^7+1']); "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'csv'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "predicted=odd observed=odd t=1\n[]\n")
+
+
 def test_stdout_matches_recorded_digest(capsys):
     # SHA-256 over argv, exit code and stdout of a fixed set of commands,
     # recorded while binary polynomials were still wrapped in a class

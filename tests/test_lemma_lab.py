@@ -504,6 +504,13 @@ def test_replay_round_trip(tmp_path):
     assert recheck(back)
 
 
+def test_instances_without_polys_do_not_share_a_dict():
+    a, b = d_instance([[1]]), d_instance([[1]])
+    assert a == b and a.polys == {}
+    a.polys["f"] = (1,)
+    assert b.polys == {} and a != b
+
+
 def test_replay_round_trip_poly_instance(tmp_path):
     inst = gen_l1_instance(instance_seed(43, "L1b", 0), "b", 8, 2)
     path = tmp_path / "replay.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import random
 import time
 
@@ -44,6 +45,24 @@ def test_query_validation():
         SearchQuery(n_lo=5, n_hi=9, shape="septanomial")
     with pytest.raises(ValueError):
         SearchQuery(n_lo=5, n_hi=9, mod8=frozenset({2}))
+
+
+def test_query_normalises_mod8_to_a_frozenset():
+    q = SearchQuery(n_lo=5, n_hi=9, mod8={1, 7})
+    assert q.mod8 == frozenset({1, 7}) and type(q.mod8) is frozenset
+    assert q == SearchQuery(n_lo=5, n_hi=9, mod8=frozenset({1, 7}))
+    assert hash(q) == hash(SearchQuery(n_lo=5, n_hi=9, mod8=frozenset({7, 1})))
+
+
+def test_records_are_frozen_and_pickle():
+    # the spawn pool sends queries to its workers and records back
+    q = SearchQuery(n_lo=5, n_hi=9, shape="pentanomial", mod8={5})
+    records = [q, scan(q)[0], corollary_audit(11, 11).rows[0]]
+    for rec, field in zip(records, ("n_hi", "irreducible", "violations")):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+        back = pickle.loads(pickle.dumps(rec))
+        assert (type(back), back) == (type(rec), rec)
 
 
 def test_enumerate_trinomials_n7_odd():

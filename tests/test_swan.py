@@ -273,6 +273,20 @@ def test_support_spec_guards():
         parse_support_spec("S=1;n=13")
 
 
+def test_spec_and_report_are_frozen_and_valid_is_computed():
+    spec = SupportSpec(13, [9, 1])
+    assert spec == SupportSpec(13, frozenset({1, 9}))
+    with pytest.raises(TypeError):
+        SupportSpec(13, frozenset({1, 9}), False)
+    with pytest.raises(TypeError):
+        SupportSpec(13, frozenset({1, 9}), valid=False)
+    report = verify_theorem_instance(13, {1, 9})
+    for rec, field in ((spec, "valid"), (spec, "support"), (report, "agree")):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+    assert report.failed_identities == ()
+
+
 def test_verify_examples():
     rep = verify_theorem_instance(7, {3})
     assert rep.agree and int(rep.disc_mod8) == 1 and rep.predicted_parity == ODD
