@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -281,10 +282,11 @@ def test_spec_and_report_are_frozen_and_valid_is_computed():
     with pytest.raises(TypeError):
         SupportSpec(13, frozenset({1, 9}), valid=False)
     report = verify_theorem_instance(13, {1, 9})
-    for rec, field in ((spec, "valid"), (spec, "support"), (report, "agree")):
+    for rec, field in ((spec, "valid"), (spec, "note"), (report, "agree"), (report, "note")):
         with pytest.raises(AttributeError):
             setattr(rec, field, None)
     assert report.failed_identities == ()
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_verify_examples():
