@@ -65,34 +65,39 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _search_rows(records):
-    for r in records:
-        yield [str(r.n),
-               " ".join(str(e) for e in r.exponents),
-               str(r.irreducible).lower(),
-               str(r.am_single_trace).lower(),
-               str(r.m1_lt_n_over_3).lower(),
-               r.predicted_parity if r.predicted_parity is not None else "",
-               r.observed_parity]
+def _cell(name: str, value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return (";" if name == "violations" else " ").join(map(str, value))
+    return str(value)
 
 
-_SEARCH_HEADER = ["n", "exponents", "irreducible", "am_single_trace",
-                  "m1_lt_n_over_3", "predicted_parity", "observed_parity"]
+def _print_records(kind, records, fmt: str) -> None:
+    """One line per record: its json, or its fields in order as csv or an aligned table."""
+    if fmt == "jsonl":
+        for r in records:
+            print(r.to_json_line())
+        return
+    rows = ([_cell(name, v) for name, v in zip(kind._fields, r)] for r in records)
+    if fmt == "csv":
+        import csv  # here, so that the other formats and commands do not load it
 
-
-def _print_table(header, rows) -> None:
-    rows = [header, *rows]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(kind._fields)
+        writer.writerows(rows)
+        return
+    header = kind._fields
+    if kind is search_mod.SearchRecord:
+        # the polynomial stands in for its degree and exponents
+        header = ("poly", *header[2:])
+        rows = ([gf2poly.format_poly(r.poly()), *row[2:]] for r, row in zip(records, rows))
+    rows = [header, *([c or "-" for c in row] for row in rows)]
     widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
-def _print_csv(header, rows) -> None:
-    import csv  # here, so that the other formats and commands do not load it
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def _cmd_search(args) -> int:
@@ -103,41 +108,14 @@ def _cmd_search(args) -> int:
         n_lo=args.n_lo, n_hi=args.n_hi, shape=args.shape,
         exponents=args.exponents, m1_bound=args.m1_bound, mod8=mod8)
     records = search_mod.scan(q, full_check=args.full_check, jobs=args.jobs)
-    if args.format == "jsonl":
-        for r in records:
-            print(r.to_json_line())
-    elif args.format == "csv":
-        _print_csv(_SEARCH_HEADER, _search_rows(records))
-    else:
-        table_rows = [[gf2poly.format_poly(r.poly()), *row[2:]] for r, row in
-                      zip(records, _search_rows(records))]
-        _print_table(["poly", *_SEARCH_HEADER[2:]],
-                     [[c if c else "-" for c in row] for row in table_rows])
+    _print_records(search_mod.SearchRecord, records, args.format)
     print(f"{len(records)} records", file=sys.stderr)
     return 0
 
 
-_AUDIT_HEADER = ["n", "n_mod_8", "asserted", "candidates", "irreducible",
-                 "violations"]
-
-
-def _audit_rows(report):
-    for r in report.rows:
-        yield [str(r.n), str(r.n_mod_8), str(r.asserted).lower(),
-               str(r.candidates), str(r.irreducible),
-               ";".join(r.violations)]
-
-
 def _cmd_audit(args) -> int:
     report = search_mod.corollary_audit(args.n_lo, args.n_hi, jobs=args.jobs)
-    if args.format == "jsonl":
-        for r in report.rows:
-            print(r.to_json_line())
-    elif args.format == "csv":
-        _print_csv(_AUDIT_HEADER, _audit_rows(report))
-    else:
-        _print_table(_AUDIT_HEADER,
-                     [[c if c else "-" for c in row] for row in _audit_rows(report)])
+    _print_records(search_mod.AuditRow, report.rows, args.format)
     print(f"{len(report.rows)} degrees, {report.candidates} candidates",
           file=sys.stderr)
     return 0 if report.ok else 2

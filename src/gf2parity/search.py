@@ -30,6 +30,7 @@ also refuses a query with more than that many in all.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -79,7 +80,7 @@ class SearchRecord(namedtuple("SearchRecord", "n exponents irreducible am_single
                                               "m1_lt_n_over_3 predicted_parity observed_parity")):
     """One classified candidate; exponents descend from n down to 0.
 
-    predicted_parity is None where the rule does not apply.
+    predicted_parity is None where the rule does not apply; the json line omits it.
     """
 
     __slots__ = ()
@@ -88,16 +89,7 @@ class SearchRecord(namedtuple("SearchRecord", "n exponents irreducible am_single
         return gf2poly.from_exponents(self.exponents)
 
     def to_json_line(self) -> str:
-        out = {
-            "n": self.n,
-            "exponents": list(self.exponents),
-            "irreducible": self.irreducible,
-            "am_single_trace": self.am_single_trace,
-            "m1_lt_n_over_3": self.m1_lt_n_over_3,
-        }
-        if self.predicted_parity is not None:
-            out["predicted_parity"] = self.predicted_parity
-        out["observed_parity"] = self.observed_parity
+        out = {k: v for k, v in self._asdict().items() if v is not None}
         return json.dumps(out, separators=(", ", ": "))
 
 
@@ -216,14 +208,7 @@ class AuditRow(namedtuple("AuditRow", "n n_mod_8 asserted candidates irreducible
     __slots__ = ()
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "n_mod_8": self.n_mod_8,
-            "asserted": self.asserted,
-            "candidates": self.candidates,
-            "irreducible": self.irreducible,
-            "violations": list(self.violations),
-        }, separators=(", ", ": "))
+        return json.dumps(self._asdict(), separators=(", ", ": "))
 
 
 class AuditReport:
@@ -282,15 +267,8 @@ def _no_zero_lane(res: int, low7: int, high: int) -> bool:
     return (((res & low7) + low7) | res) & high == high
 
 
-_SCREENS: dict[int, _LaneScreen] = {}
-
-
-def _screen_for(n: int) -> _LaneScreen:
-    # one shared table per exponent ceiling, built on demand
-    cap = 1 << max(n.bit_length(), 7)
-    if cap not in _SCREENS:
-        _SCREENS[cap] = _LaneScreen(cap)
-    return _SCREENS[cap]
+# one shared table per exponent ceiling, built on first use
+_screen_for_cap = functools.cache(_LaneScreen)
 
 
 def _audit_pool(n: int) -> range:
@@ -304,7 +282,7 @@ def _audit_survivors(n: int) -> array:
     Each is a code whose bit t is set when the candidate has x^m for the
     t-th pool exponent m.
     """
-    screen = _screen_for(n)
+    screen = _screen_for_cap(1 << max(n.bit_length(), 7))
     lanes, low7, high = screen.lanes(n)
     flip = [screen.powers[m] & lanes for m in _audit_pool(n)]
     # Gray-code walk over the nonempty subsets S of the pool: step j flips

@@ -65,9 +65,7 @@ def _admissible(n: int, i: int) -> bool:
 
 def validate_support(n: int, support) -> bool:
     """True iff every exponent in support is admissible for degree n."""
-    if n % 2 == 0:
-        raise ValueError("degree must be odd")
-    return all(_admissible(n, i) for i in support)
+    return not invalid_support_elements(n, support)
 
 
 def invalid_support_elements(n: int, support) -> list[int]:
@@ -204,19 +202,11 @@ class ParityReport(namedtuple("ParityReport", "spec poly squarefree t_distinct t
     __slots__ = ()
 
     def to_json_line(self) -> str:
-        out = {
-            "spec": self.spec.to_text(),
-            "poly": gf2poly.format_poly(self.poly),
-            "squarefree": self.squarefree,
-            "t_distinct": self.t_distinct,
-            "t_multiplicity": self.t_multiplicity,
-            "disc_mod8": self.disc_mod8,
-            "predicted_parity": self.predicted_parity,
-            "observed_parity": self.observed_parity,
-            "agree": self.agree,
-        }
-        if self.failed_identities:
-            out["failed_identities"] = list(self.failed_identities)
+        out = self._asdict()
+        out["spec"] = self.spec.to_text()
+        out["poly"] = gf2poly.format_poly(self.poly)
+        if not self.failed_identities:
+            del out["failed_identities"]
         return json.dumps(out, separators=(", ", ": "))
 
 

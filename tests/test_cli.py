@@ -13,6 +13,7 @@ import pytest
 
 import gf2parity
 from gf2parity import cli, lemma_lab
+from gf2parity import search as search_mod
 from gf2parity.cli import main
 from gf2parity.gf2poly import MAX_DEGREE, parse_poly
 from gf2parity.lemma_lab import MAX_SIDE, build_instance, gen_l1_instance, write_replay
@@ -163,6 +164,39 @@ def test_audit(capsys):
     assert rows[0] == {"n": 11, "n_mod_8": 3, "asserted": True, "candidates": 3,
                        "irreducible": 0, "violations": []}
     assert rows[1]["n"] == 13 and rows[1]["irreducible"] == 0
+
+
+@pytest.mark.parametrize("argv, csv_header, table_header", [
+    (["search", "--n-lo", "6", "--n-hi", "6", "--exponents", "odd-only"],
+     "n,exponents,irreducible,am_single_trace,m1_lt_n_over_3,predicted_parity,observed_parity",
+     "poly  irreducible  am_single_trace  m1_lt_n_over_3  predicted_parity  observed_parity"),
+    (["audit", "--n-lo", "4", "--n-hi", "4"],
+     "n,n_mod_8,asserted,candidates,irreducible,violations",
+     "n  n_mod_8  asserted  candidates  irreducible  violations"),
+], ids=["search", "audit"])
+def test_empty_result_prints_only_its_header(capsys, argv, csv_header, table_header):
+    assert run(capsys, [*argv, "--format", "jsonl"])[:2] == (0, "")
+    assert run(capsys, [*argv, "--format", "csv"])[:2] == (0, csv_header + "\n")
+    assert run(capsys, [*argv, "--format", "table"])[:2] == (0, table_header + "\n")
+
+
+def test_audit_violations_exit_2_in_every_format(capsys, monkeypatch):
+    violations = ("x^11+x^3+1", "x^11+x+1")
+    row = search_mod.AuditRow(n=11, n_mod_8=3, asserted=True, candidates=3,
+                              irreducible=2, violations=violations)
+    monkeypatch.setattr(search_mod, "corollary_audit",
+                        lambda *args, **kwargs: search_mod.AuditReport([row]))
+    argv = ["audit", "--n-lo", "11", "--n-hi", "11", "--format"]
+    rc, out, err = run(capsys, [*argv, "jsonl"])
+    assert (rc, err) == (2, "1 degrees, 3 candidates\n")
+    assert json.loads(out)["violations"] == list(violations)
+    assert run(capsys, [*argv, "csv"])[:2] == (
+        2, "n,n_mod_8,asserted,candidates,irreducible,violations\n"
+           "11,3,true,3,2,x^11+x^3+1;x^11+x+1\n")
+    rc, out, _ = run(capsys, [*argv, "table"])
+    assert rc == 2
+    assert out.splitlines()[1].split() == ["11", "3", "true", "3", "2",
+                                           "x^11+x^3+1;x^11+x+1"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

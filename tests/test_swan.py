@@ -315,3 +315,15 @@ def test_report_json_shape():
     assert data["poly"] == "x^13+x^9+x+1"
     assert data["disc_mod8"] == 5
     assert data["agree"] is True
+
+
+def test_report_json_names_failed_identities_last():
+    rep = verify_theorem_instance(13, {1, 9})._replace(
+        agree=False, failed_identities=("squarefree",))
+    data = json.loads(rep.to_json_line())
+    assert list(data) == ["spec", "poly", "squarefree", "t_distinct",
+                          "t_multiplicity", "disc_mod8", "predicted_parity",
+                          "observed_parity", "agree", "failed_identities"]
+    assert data["spec"] == "n=13;S=1,9"
+    assert data["poly"] == "x^13+x^9+x+1"
+    assert data["failed_identities"] == ["squarefree"]
