@@ -30,9 +30,11 @@ tuples of coefficients in COEFFS, lowest first. Checks end in exact
 arithmetic independent of the mod-8 path: intres.det_exact for matrices
 and the modular intres.resultant for L1. A slot of two or more residues
 is {0, r, 2r, ...}: it gives 0 half the time, so that sparse and dense
-instances both occur, and else a uniform nonzero residue. Rows come from
-cached plans (_draw_row), all fed by one shake_128 stream of the seed
-(_shake_bits). A replay file is outside input, read by LemmaInstance.from_json.
+instances both occur, and else a uniform nonzero residue. An instance is one
+read of the shake_128 stream of its seed (_shake_bits), a byte per slot, mapped
+by a 256-byte table per kind of slot and gathered by a plan cached per lemma
+and size (_plan, _draw). A replay file is outside input, read by
+LemmaInstance.from_json.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import hashlib
 import itertools
 import json
 import operator
+from array import array
 from pathlib import Path
 
 from . import gf2poly
@@ -122,21 +125,6 @@ class LemmaInstance:
                    {k: tuple(v) for k, v in polys.items()}, data.get("notes", ""))
 
 
-@functools.lru_cache(maxsize=256)
-def _plans(kind, *sizes) -> tuple:
-    """Draw plans, built on first use: one per row of the "L2" or "GENERAL" table at
-    sizes, or else one row of sizes[0] copies of the slots in kind. A plan holds a
-    row's fixed entries and its wide slots {0, r, 2r, ...} as (index, r, mask)."""
-
-    def plan(slots):
-        return ([slot[0] if len(slot) == 1 else 0 for slot in slots],
-                tuple((j, slot[1], len(slot) - 1) for j, slot in enumerate(slots) if len(slot) > 1))
-
-    if kind in ("L2", "GENERAL"):
-        return tuple(map(plan, l2_table(*sizes) if kind == "L2" else general_table(*sizes)))
-    return plan(kind * sizes[0])
-
-
 def _shake_bits(seed: int):
     """getrandbits(k) reading shake_128(str(seed)) as one little-endian integer, low bits
     first; a draw past its end extends the digest by h.digest(2 * taken)[taken:]."""
@@ -159,19 +147,88 @@ def _below(getrandbits, k: int) -> int:
     return next(v for v in iter(functools.partial(getrandbits, (k - 1).bit_length()), -1) if v < k)
 
 
-def _draw_row(getrandbits, plan) -> list[int]:
-    """A row of plan from one getrandbits call, 4 bits a wide slot: the low bit gives 0
-    half the time, the bits above it index the nonzero residues, index 0 drawn again."""
-    row, wide = plan[0].copy(), plan[1]
-    bits = getrandbits(4 * len(wide))
-    for j, step, mask in wide:
-        if bits & 1:
-            i = bits >> 1 & mask
-            while not i:  # a slot with one nonzero residue needs no redraw
-                i = getrandbits(3) & mask if mask > 1 else 1
-            row[j] = step * i
-        bits >>= 4
-    return row
+_REJECT = 8  # no residue 0..7 and no coefficient -4..3 as a signed byte: draw again
+_TEMPLATE = bytes((0, 1))  # a source's first 2 bytes: the fixed entries _ZERO and _ONE
+_LEAD = (-4, -3, -2, -1, 1, 2, 3)  # H's leading coefficient: COEFFS without 0
+_WIDE = (ALL_RESIDUES, EVEN_RESIDUES, MULT4_RESIDUES, COEFFS, _LEAD)  # in draw order
+
+
+@functools.cache
+def _table(kind, span: int = 256) -> bytes:
+    """The map, for bytes.translate, of b, one of span equally likely values, to a slot
+    of kind: 0 for an even b if kind has 0, else the nonzero residue number
+    (b >> 1) % k of kind's k, or _REJECT when b >> 1 is among the top (span // 2) % k."""
+    nonzero = bytes(v % 256 for v in kind if v)
+    half, k = span // 2, len(nonzero)
+    index = nonzero * (half // k) + bytes((_REJECT,)) * (half % k)
+    if 0 in kind:
+        return bytes(b % 2 and index[b >> 1] for b in range(span))
+    return bytes(index[b >> 1] for b in range(span))
+
+
+@functools.cache
+def _pair_tables() -> tuple[bytes, bytes]:
+    """D's maps of a pair's byte to its upper and its lower entry: bits 0..5 draw the
+    EVEN entry, bit 6 the MULT4 entry, and bit 7 trades their places. Both reject
+    the bytes whose EVEN entry is _REJECT."""
+    even = _table(EVEN_RESIDUES, 64)
+    zeros, fours = (even.translate(bytes(v if v == _REJECT else m for v in range(256)))
+                    for m in (0, 4))
+    return zeros + fours + even * 2, even * 2 + zeros + fours
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(lemma: str, *sizes) -> tuple:
+    """The draw plan of lemma at sizes, built on first use: the bytes an instance
+    draws, the spans (start, stop, table) of those bytes, and one itemgetter that
+    gathers the flat instance from _draw's source, _TEMPLATE and then each span's
+    bytes through its table. The wide slots of one kind are one span, in _WIDE
+    order; D's pairs are one run of bytes in two spans, upper and lower entries.
+    Sizes are (size) for D, (s, *lengths of the F_k) for L1, else the table's sizes."""
+    if lemma == "D":
+        size, = sizes
+        pairs = {ij: p for p, ij in enumerate(itertools.combinations(range(size), 2))}
+        total = size + len(pairs)  # the source: diagonal, upper entries, lower entries
+        spans = ((0, size, _table(ALL_RESIDUES)), *((size, total, t) for t in _pair_tables()))
+        gather = [2 + i if i == j else 2 + size + pairs[i, j] if i < j
+                  else 2 + total + pairs[j, i] for i in range(size) for j in range(size)]
+    else:
+        if lemma == "L1":  # h is 0, s - 1 coefficients and the lead, then the F_k
+            s, *lengths = sizes
+            slots = [_ZERO, *[COEFFS] * (s - 1), _LEAD, *[COEFFS] * sum(lengths)]
+        else:
+            slots = list(itertools.chain.from_iterable(
+                l2_table(*sizes) if lemma == "L2" else general_table(*sizes)))
+        kinds = [kind for kind in _WIDE if kind in slots]
+        stops = list(itertools.accumulate(map(slots.count, kinds)))
+        starts = [0, *stops[:-1]]
+        nexts = {kind: itertools.count(2 + start) for kind, start in zip(kinds, starts)}
+        gather = [slot[0] if len(slot) == 1 else next(nexts[slot]) for slot in slots]
+        total, spans = stops[-1] if stops else 0, tuple(zip(starts, stops, map(_table, kinds)))
+    # a trailing 0 keeps the gather of a one-entry instance a tuple
+    return total, spans, operator.itemgetter(*gather, 0)
+
+
+def _draw(getrandbits, plan) -> bytes:
+    """An instance's source: _TEMPLATE, then the bytes of one getrandbits call mapped
+    span by span through the span's table. A byte that a table rejects is drawn
+    again, in slot order, as the next stream byte with bit 0 set: a slot whose kind
+    has 0 stays nonzero, and its nonzero residue is drawn afresh."""
+    total, spans, _ = plan
+    raw = bytearray(getrandbits(8 * total).to_bytes(total, "little"))
+    source = [_TEMPLATE]
+    for start, stop, table in spans:
+        run = raw[start:stop].translate(table)
+        while _REJECT in run:  # the first reject is the earliest slot left to settle
+            raw[start + run.index(_REJECT)] = getrandbits(8) | 1
+            run = raw[start:stop].translate(table)
+        source.append(run)
+    return b"".join(source)
+
+
+def _matrix(getrandbits, plan, side: int) -> IntMatrix:
+    flat = plan[2](_draw(getrandbits, plan))
+    return IntMatrix([flat[i:i + side] for i in range(0, side * side, side)])
 
 
 def _degree(coeffs) -> int:
@@ -185,15 +242,8 @@ def gen_d_instance(seed: int, size: int) -> LemmaInstance:
     """Random matrix with even off-diagonal pairs multiplying to 0 mod 8."""
     if size < 1:
         raise ValueError("size must be at least 1")
-    draw = _shake_bits(seed)
-    diagonal = _draw_row(draw, _plans((ALL_RESIDUES,), size))
-    rows = [[0] * i + [v] + [0] * (size - 1 - i) for i, v in enumerate(diagonal)]
-    for i in range(size - 1):  # the pairs right of the diagonal and below it
-        pairs = _draw_row(draw, _plans((MULT4_RESIDUES, EVEN_RESIDUES), size - 1 - i))
-        swaps = draw(size - 1 - i)  # a pair trades places half the time
-        for k, (j, a, b) in enumerate(zip(range(i + 1, size), pairs[::2], pairs[1::2])):
-            rows[i][j], rows[j][i] = (b, a) if swaps >> k & 1 else (a, b)
-    return LemmaInstance("D", {"size": size}, seed, IntMatrix(rows))
+    matrix = _matrix(_shake_bits(seed), _plan("D", size), size)
+    return LemmaInstance("D", {"size": size}, seed, matrix)
 
 
 def check_d(instance: LemmaInstance) -> bool:
@@ -225,17 +275,11 @@ def gen_l1_instance(seed: int, variant: str, n: int, s: int) -> LemmaInstance:
         raise ValueError("variant must be 'a' or 'b'")
     if n <= 1 or s < 1:
         raise ValueError("needs n > 1 and s >= 1")
-    draw = _shake_bits(seed)
     lengths = [max(n - k * s, 0) for k in range(3 if variant == "a" else 2)]
-    lead = draw(3)
-    while not lead:  # H's leading coefficient is nonzero
-        lead = draw(3)
-    row = [lead, *_draw_row(draw, _plans((ALL_RESIDUES,), s - 1 + sum(lengths)))]
-    coeffs = iter([c - 8 if c > 3 else c for c in row])  # residues 0..7 as -4..3
-    lead = next(coeffs)
-    polys = {"h": (0, *itertools.islice(coeffs, s - 1), lead)}
-    polys.update((f"f{k}", tuple(itertools.islice(coeffs, size)))
-                 for k, size in enumerate(lengths))
+    plan = _plan("L1", s, *lengths)
+    coeffs = iter(plan[2](array("b", _draw(_shake_bits(seed), plan))))  # bytes as -4..3
+    polys = {key: tuple(itertools.islice(coeffs, size))
+             for key, size in zip(("h", "f0", "f1", "f2"), (s + 1, *lengths))}
     return LemmaInstance("L1a" if variant == "a" else "L1b",
                          {"n": n, "s": s, "variant": variant}, seed, None, polys)
 
@@ -331,13 +375,15 @@ def l2_table(m: int, n: int) -> tuple:
 
 
 def gen_l2_matrix(seed: int, m: int | None = None, n: int | None = None) -> LemmaInstance:
-    """Random (m+n) x (m+n) block instance; without sizes, 0 <= m < n and m + n <= 12."""
+    """Random (m+n) x (m+n) block instance, sized by both m and n or by neither, which
+    draws 0 <= m < n with m + n <= 12."""
+    if (m is None) != (n is None):
+        raise ValueError("L2 is sized by both m and n or by neither")
     draw = _shake_bits(seed)
     if n is None:
         n = 1 + _below(draw, 11)
         m = _below(draw, min(n - 1, 12 - n) + 1)
-    rows = [_draw_row(draw, plan) for plan in _plans("L2", m, n)]
-    return LemmaInstance("L2", {"m": m, "n": n}, seed, IntMatrix(rows))
+    return LemmaInstance("L2", {"m": m, "n": n}, seed, _matrix(draw, _plan("L2", m, n), m + n))
 
 
 def check_l2(instance: LemmaInstance) -> bool:
@@ -400,10 +446,9 @@ def general_table(n: int) -> tuple:
 def gen_general_matrix(seed: int, n: int) -> LemmaInstance:
     """Random (m+n) x (m+n) instance, m = n - 4, s = (n-1)//3."""
     m, s = _general_sizes(n)
-    draw = _shake_bits(seed)
-    rows = [_draw_row(draw, plan) for plan in _plans("GENERAL", n)]
+    matrix = _matrix(_shake_bits(seed), _plan("GENERAL", n), m + n)
     return LemmaInstance(
-        "GENERAL", {"n": n, "m": m, "s": s}, seed, IntMatrix(rows),
+        "GENERAL", {"n": n, "m": m, "s": s}, seed, matrix,
         notes="column offset m is the unit diagonal; the congruence ladder does not apply there")
 
 

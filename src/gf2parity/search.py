@@ -164,7 +164,7 @@ def enumerate_candidates(q: SearchQuery):
 def _classify(n: int, mids: tuple[int, ...], full_check: bool) -> SearchRecord:
     f = gf2poly.from_exponents((n, *mids, 0))
     valid = n % 2 == 1 and swan.validate_support(n, mids)
-    predicted = swan.theorem_parity(n, mids) if valid else None
+    predicted = swan.residue_parity(n) if valid else None
     if valid and predicted == EVEN and not full_check:
         # an even factor count rules out irreducibility without factoring
         irreducible = False
@@ -369,7 +369,7 @@ def _audit_one_degree(n: int) -> AuditRow:
     pool = _audit_pool(n)
     codes = _audit_survivors(n)
     irreducible = _frobenius_irreducible(n, pool, codes)
-    asserted = n % 8 in (3, 5)
+    asserted = swan.residue_parity(n) == EVEN
     found = []
     if asserted:
         flags = format(irreducible, f"0{len(codes)}b")[::-1]

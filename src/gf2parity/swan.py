@@ -88,17 +88,20 @@ def support_poly(n: int, support) -> int:
 
 
 def theorem_parity(n: int, support) -> str:
-    """Predicted parity of the distinct-factor count for an admissible support.
-
-    Odd when n is +-1 mod 8, even when n is +-3 mod 8. Refuses supports
-    that fail validate_support.
-    """
+    """Predicted parity of the distinct-factor count for an admissible support,
+    by residue_parity. Refuses supports that fail validate_support."""
     bad = invalid_support_elements(n, support)
     if bad:
         i = bad[0]
         raise ValueError(
             f"unsupported exponent {i}: needs 3*{i} < {n} with {i} odd, "
             f"or {i} = {n} mod 4, and 0 < {i} < {n}")
+    return residue_parity(n)
+
+
+def residue_parity(n: int) -> str:
+    """The parity the theorem predicts at odd degree n for any admissible support:
+    odd when n is +-1 mod 8, even when n is +-3 mod 8."""
     return ODD if n % 8 in (1, 7) else EVEN
 
 
@@ -234,7 +237,7 @@ def verify_theorem_instance(n: int, support) -> ParityReport:
     sign = 7 if (n * (n - 1) // 2) % 2 else 1
     if pow(n, n, 8) * d8 % 8 != sign * r8 % 8:
         failures.append("determinant_bridge")
-    if d8 != (1 if n % 8 in (1, 7) else 5):
+    if d8 != (1 if predicted == ODD else 5):
         failures.append("disc_residue")
     squarefree = gf2poly.is_squarefree(f)
     if not squarefree:

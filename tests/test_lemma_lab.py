@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -188,6 +189,12 @@ def test_l2_table_matches_block_oracle():
                                 check_l2(bad)
 
 
+@pytest.mark.parametrize("m, n", [(None, 7), (3, None)])
+def test_l2_generator_refuses_a_lone_size(m, n):
+    with pytest.raises(ValueError, match="both m and n or by neither"):
+        gen_l2_matrix(instance_seed(13, "L2", 2), m, n)
+
+
 def test_l2_generator_output_checks():
     rng = random.Random(17)
     for index in range(300):
@@ -313,10 +320,10 @@ def test_generators_keep_the_entry_distribution():
     assert known >= 25 * 0.25 / 0.02 ** 2 and abs(swapped / known - 0.5) <= 0.02
 
 
-# the instance a seed gave for each lemma id under the two earlier generators,
+# the instance a seed gave for each lemma id under the three earlier generators,
 # build_instance(lemma, 7, 1) for D, L1a, L1b and GENERAL and index 7 for L2:
 # first from a random.Random per entry, then from a random.Random per instance
-# with rows drawn in bulk
+# with rows drawn in bulk, then from a shake_128 stream a row at a time
 PARENT_REPLAYS = [
     {"lemma_id": "D", "params": {"size": 3}, "seed": 65258172151619857,
      "matrix": [[1, 2, 0], [4, 7, 4], [0, 0, 7]]},
@@ -351,11 +358,33 @@ PARENT_REPLAYS = [
                 [0, 0, 0, 0, 0, 6, 1, 0, 4, 4], [0, 0, 0, 0, 0, 0, 4, 1, 0, 0],
                 [0, 0, 0, 0, 0, 0, 4, 4, 1, 4], [0, 0, 0, 0, 0, 0, 4, 4, 6, 1]],
      "notes": "column offset m is the unit diagonal; the congruence ladder does not apply there"},
+    {"lemma_id": "D", "params": {"size": 3}, "seed": 65258172151619857,
+     "matrix": [[5, 0, 4], [4, 0, 2], [4, 4, 0]]},
+    {"lemma_id": "L1a", "params": {"n": 8, "s": 2, "variant": "a"}, "seed": 2009054322413227207,
+     "polys": {"h": [0, -3, -1], "f0": [0, -4, 2, 0, 3, 2, 0, 0], "f1": [3, 0, -2, 0, 0, 0],
+               "f2": [0, -2, 0, 0]}},
+    {"lemma_id": "L1b", "params": {"n": 8, "s": 2, "variant": "b"}, "seed": 17362475935096272372,
+     "polys": {"h": [0, 1, 3], "f0": [0, 1, 0, -1, 2, 0, 0, 0], "f1": [0, 2, 0, 0, 0, -2]}},
+    {"lemma_id": "L2", "params": {"m": 1, "n": 10}, "seed": 6759570033673992712,
+     "matrix": [[1, 4, 7, 0, 1, 0, 7, 1, 2, 0, 4], [0, 1, 0, 0, 0, 4, 4, 4, 4, 0, 4],
+                [0, 0, 1, 0, 0, 0, 0, 0, 4, 0, 4], [0, 4, 0, 1, 0, 0, 4, 0, 4, 0, 4],
+                [0, 0, 4, 4, 1, 4, 4, 4, 4, 4, 0], [0, 4, 0, 0, 4, 1, 4, 0, 0, 0, 0],
+                [0, 0, 0, 4, 0, 0, 1, 0, 0, 4, 4], [0, 0, 4, 0, 4, 4, 0, 1, 0, 0, 0],
+                [0, 4, 4, 4, 0, 0, 4, 4, 1, 0, 0], [0, 4, 4, 0, 0, 0, 4, 4, 0, 1, 4],
+                [0, 0, 4, 0, 4, 4, 0, 4, 0, 4, 1]]},
+    {"lemma_id": "GENERAL", "params": {"n": 7, "m": 3, "s": 2}, "seed": 3028691569333901276,
+     "matrix": [[1, 0, 0, 0, 0, 0, 7, 3, 0, 0], [0, 1, 0, 0, 0, 2, 0, 0, 0, 0],
+                [0, 0, 1, 0, 0, 0, 5, 0, 4, 4], [0, 0, 0, 1, 4, 0, 0, 0, 0, 0],
+                [0, 4, 0, 6, 1, 4, 0, 6, 6, 0], [0, 0, 0, 0, 0, 1, 4, 4, 0, 4],
+                [0, 0, 0, 4, 0, 6, 1, 0, 4, 2], [0, 0, 0, 0, 0, 4, 6, 1, 0, 4],
+                [0, 0, 0, 0, 0, 4, 4, 0, 1, 4], [0, 0, 0, 0, 0, 0, 4, 4, 0, 1]],
+     "notes": "column offset m is the unit diagonal; the congruence ladder does not apply there"},
 ]
 
 
 @pytest.mark.parametrize("data", PARENT_REPLAYS, ids=[  # one per lemma id and generator
-    d["lemma_id"] + ("-bulk" if k >= len(LEMMA_IDS) else "") for k, d in enumerate(PARENT_REPLAYS)])
+    d["lemma_id"] + ("", "-bulk", "-shake")[k // len(LEMMA_IDS)]
+    for k, d in enumerate(PARENT_REPLAYS)])
 def test_replays_of_the_earlier_generator_recheck(data):
     inst = LemmaInstance.from_json(data)
     assert inst.to_json() == data
@@ -387,12 +416,65 @@ def test_rejection_draws_are_uniform():
         assert all(abs(c / total - share) <= 5 * sigma for c in counts.values()), counts
 
 
-INSTANCES_DIGEST = "d9898711e99c974cc68792b3cd1797af10fbbcb9c44b0f35a1bcbda4130c86a8"
+def _table_rejects(kind, zeros):
+    # a stream byte's slot, all 256 bytes: zeros give 0, each nonzero residue of kind
+    # as many, and the rest draw again, at most 2 of the 128 odd bytes
+    table, nonzero = lemma_lab._table(kind), {v % 256 for v in kind if v}
+    counts = collections.Counter(table)
+    assert counts[0] == zeros and set(counts) <= nonzero | {0, lemma_lab._REJECT}, kind
+    assert len({counts[v] for v in nonzero}) == 1, kind
+    rejects = [b for b in range(256) if table[b] == lemma_lab._REJECT]
+    assert sum(b % 2 for b in rejects) <= 2, kind
+    return rejects
+
+
+def test_kind_tables_give_0_half_the_time_and_else_a_uniform_residue():
+    for kind in (ALL_RESIDUES, EVEN_RESIDUES, MULT4_RESIDUES, COEFFS):
+        rejects = _table_rejects(kind, 128)
+        assert len(rejects) == 128 % (len(kind) - 1) and all(b % 2 for b in rejects), kind
+    # H's leading coefficient has no 0: every byte b indexes by b >> 1
+    assert _table_rejects(lemma_lab._LEAD, 0) == [252, 253, 254, 255]
+
+
+def test_d_pair_tables_draw_an_even_and_a_mult4_entry():
+    # bits 0..5 of a pair's byte give the EVEN entry, 32 of 64 values 0 and 2 of 32
+    # redrawn, bit 6 the MULT4 entry and bit 7 the swap; all 256 bytes enumerated
+    upper, lower = lemma_lab._pair_tables()
+    want = collections.Counter({(lemma_lab._REJECT,) * 2: 8})
+    for swap, mult4 in itertools.product((0, 1), (0, 4)):
+        for even, count in ((0, 32), (2, 10), (4, 10), (6, 10)):
+            want[(even, mult4) if swap else (mult4, even)] += count
+    assert collections.Counter(zip(upper, lower)) == want
+    rejects = [b for b in range(256) if upper[b] == lemma_lab._REJECT]
+    assert [b & 63 for b in rejects] == [61, 63] * 4
+
+
+def test_rejected_bytes_are_drawn_again_in_slot_order(monkeypatch):
+    # a 2 x 2 D instance draws 3 bytes: the diagonal, then the pair. Bytes 0xff
+    # (b >> 1 = 127) and 0xbf (EVEN part 63) are rejects; each is drawn again, in
+    # slot order, from the next byte with bit 0 set, until it is not a reject
+    stream = iter([0xff, 0x03, 0xbf, 0xfe, 0x04, 0x2c])
+    widths = []
+
+    def getrandbits(k):
+        widths.append(k)
+        return int.from_bytes(bytes(next(stream) for _ in range(k // 8)), "little")
+
+    monkeypatch.setattr(lemma_lab, "_shake_bits", lambda seed: getrandbits)
+    inst = gen_d_instance(0, 2)
+    # 0xff, 0xfe | 1 reject; 0x04 | 1 gives residue 1 + (5 >> 1) = 3; 0x03 gives 2;
+    # 0x2c | 1 = 0b00101101: EVEN 2 * (1 + (45 >> 1) % 3) = 4, MULT4 0, no swap
+    assert inst.matrix.rows == [[3, 0], [4, 2]]
+    assert widths == [24, 8, 8, 8]
+    assert check_d(inst)
+
+
+INSTANCES_DIGEST = "e52ab3e26b940ca615b8928e1274fc7da21c00309c6d6b94c14914bec149fd2d"
 
 
 def test_instances_match_recorded_digest():
     # every instance a seed gives, default schedule and pinned sizes alike,
-    # as recorded when each instance was first drawn from one shake_128 stream
+    # as recorded when each instance was first drawn in one read of its shake_128 stream
     digest = hashlib.sha256()
     for lemma in LEMMA_IDS:
         for cs in (1, 7, 123):
