@@ -10,9 +10,9 @@ determinant, the exact check of the lemma matrices. resultant_mod8 runs
 Euclid over Z/8 instead, with 2-adic Hensel splits where a remainder's
 leading coefficient is even (von zur Gathen and Gerhard, Modern Computer
 Algebra, ch. 6 and 15). It packs the coefficients into lanes just wide
-enough that a product of two packed polynomials is one multiply, and
-after a split it reduces only the top 3u coefficients of the remainder
-against a cofactor of degree u: the rest vanish mod 8.
+enough that a product of two packed polynomials is one multiply, lifts
+no remainder that is 1 mod 2, and after a split reduces only the top 3u
+coefficients of a remainder against a cofactor of degree u.
 """
 
 from __future__ import annotations
@@ -82,21 +82,6 @@ def _lane_bytes(lanes: int) -> int:
     return -(-(49 * lanes).bit_length() // 8)
 
 
-def _divmod8(e: int, p: int, d: int, bits: int, mask: int) -> tuple[int, int]:
-    """Quotient and remainder of packed e by packed monic p of degree d, mod 8.
-
-    Every lane of e holds 0..7, so the top nonzero lane k is the quotient
-    coefficient c there; adding (8 - c) x^(k-d) p clears it, and lanes of
-    at most 56 carry nothing across a lane before the mask.
-    """
-    q = 0
-    while (k := (e.bit_length() - 1) // bits) >= d:
-        c = e >> bits * k
-        e = (e + ((8 - c) * p << bits * (k - d))) & mask
-        q |= c << bits * (k - d)
-    return q, e
-
-
 def _reverse(x: int, degree: int, w: int) -> int:
     """x^degree x(1/x) for packed x of degree at most degree in w-byte lanes."""
     return int.from_bytes(x.to_bytes(w * (degree + 1), "little"), "big") >> 8 * (w - 1)
@@ -124,11 +109,12 @@ def resultant_mod8(f_terms, g_terms) -> int:
       and res(A, B) = l^a (-1)^(a deg B) res(lB, A mod lB).
     - Even leading coefficient: Hensel lifting from B = (B mod 2) * 1 mod 2
       gives B = P U mod 8 with P monic of degree d = deg(B mod 2) and
-      U = 1 mod 2. res(A, P) continues as in the odd case. U(0) is odd, so
-      with U* and A* the reversals at degrees u = deg U and a and V the
-      monic U(0) U*, res(A, U) = U(0)^a res(V, A* mod V): the signs
-      (-1)^(au) of reversing both and of swapping cancel. Only the lowest
-      3u coefficients of A* count: U = 1 mod 2 gives V = x^u mod 2, so
+      U = 1 mod 2; B = 1 mod 2 is its own U, with P = 1. res(A, P)
+      continues as in the odd case. U(0) is odd, so with U* and A* the
+      reversals at degrees u = deg U and a and V the monic U(0) U*,
+      res(A, U) = U(0)^a res(V, A* mod V): the signs (-1)^(au) of
+      reversing both and of swapping cancel. Only the lowest 3u
+      coefficients of A* count: U = 1 mod 2 gives V = x^u mod 2, so
       x^u = 2W mod V for some W, and x^(3u) = 8 W^3 = 0 mod V and 8.
       Those are the top 3u coefficients of A, reversed.
     """
@@ -139,16 +125,21 @@ def resultant_mod8(f_terms, g_terms) -> int:
     lanes = 1 + max(n, max((e for e, _ in g_terms), default=0))
     w = _lane_bytes(lanes)
     bits = 8 * w
-    f, g = (sum((c % 8) << bits * e for e, c in t) for t in (f_terms, g_terms))
+    f = g = 0
+    for e, c in f_terms:
+        f |= (c & 7) << bits * e
+    for e, c in g_terms:
+        g |= (c & 7) << bits * e
     ones = int.from_bytes(b"\x01".ljust(w, b"\0") * lanes, "little")
-    sevens = 7 * ones
-    eights = 8 * ones
+    sevens, eights = 7 * ones, 8 * ones
     out = 1
     work = [(f, n, g)]
     while work:
         a_poly, a, b = work.pop()
         while a:
-            b = _divmod8(b, a_poly, a, bits, sevens)[1]
+            # B mod A in place: (8 - c) x^(m-a) A clears top lane c, carrying nothing
+            while (m := (b.bit_length() - 1) // bits) >= a:
+                b = (b + ((8 - (b >> bits * m)) * a_poly << bits * (m - a))) & sevens
             if a <= 2:
                 b0 = b & 7
                 if a == 2:
@@ -158,19 +149,24 @@ def resultant_mod8(f_terms, g_terms) -> int:
                 break
             if not b & ones:
                 return 0
-            m = (b.bit_length() - 1) // bits
             d = ((b & ones).bit_length() - 1) // bits
             if d == m:
                 lc = b >> bits * m
                 out = out * (lc if a & 1 else 1) * (-1 if a & m & 1 else 1) % 8
                 a_poly, a, b = b * lc & sevens, m, a_poly
                 continue
-            p, u = b & ones, 1
-            for k in (1, 2):
-                e = (((b | eights) - (p * u & sevens)) & sevens) >> k
-                q, r = _divmod8(e, p, d, bits, sevens)
-                p = (p + (r << k)) & sevens
-                u = (u + (q << k)) & sevens
+            p, u = b & ones, b
+            if d:  # lift B = (B mod 2) * 1 to mod 4, then to mod 8
+                u = 1
+                for k in (1, 2):
+                    e = (((b | eights) - (p * u & sevens)) & sevens) >> k
+                    q = 0  # e = q P + r: r goes to P, q to U
+                    while (j := (e.bit_length() - 1) // bits) >= d:
+                        c = e >> bits * j
+                        e = (e + ((8 - c) * p << bits * (j - d))) & sevens
+                        q |= c << bits * (j - d)
+                    p = (p + (e << k)) & sevens
+                    u = (u + (q << k)) & sevens
             u0 = u & 7
             out = out * (u0 if a & 1 else 1) * (-1 if a & d & 1 else 1) % 8
             t = max(0, a + 1 - 3 * (m - d))

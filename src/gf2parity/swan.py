@@ -44,16 +44,17 @@ def lift_01(f: int) -> list[int]:
 
 
 def discriminant_mod8(f: int) -> int:
-    """disc(F) reduced into 0..7 for the 0/1 lift F of f, degree >= 2.
-
-    disc(F) = (-1)^(n(n-1)/2) res(F, F'), and F' is e at e - 1 for each
-    exponent e of f.
-    """
+    """disc(F) reduced into 0..7 for the 0/1 lift F of f, degree >= 2."""
     if f <= 0:
         raise ValueError("the discriminant needs a nonzero polynomial")
-    n = f.bit_length() - 1
-    es = gf2poly.exponents(f)
-    r = intres.resultant_mod8([(e, 1) for e in es], [(e - 1, e) for e in es if e])
+    return _disc_mod8([(e, 1) for e in gf2poly.exponents(f)])
+
+
+def _disc_mod8(f_terms: list[tuple[int, int]]) -> int:
+    """disc(F) = (-1)^(n(n-1)/2) res(F, F') mod 8 for F given as (e, 1) pairs,
+    highest e first: F' is e at e - 1 for each exponent e of F."""
+    n = f_terms[0][0]
+    r = intres.resultant_mod8(f_terms, [(e - 1, e) for e, _ in f_terms if e])
     return -r % 8 if (n * (n - 1) // 2) % 2 else r
 
 
@@ -224,16 +225,17 @@ def verify_theorem_instance(n: int, support) -> ParityReport:
     parity matches the prediction. Failures are named in the report and
     flip agree to False rather than raising.
     """
-    spec = SupportSpec(n, frozenset(support))
-    predicted = theorem_parity(n, spec.support)  # raises with the offending exponent named
+    spec = SupportSpec(n, frozenset(support))  # theorem_parity raises, naming the bad exponent
+    predicted = residue_parity(n) if spec.valid else theorem_parity(n, spec.support)
     f = spec.poly()
     G = g_terms(n, spec.support)
     check_g_terms(n, G)  # malformed instances raise here
     failures: list[str] = []
-    r8 = intres.resultant_mod8([(e, 1) for e in gf2poly.exponents(f)], G)
+    f_terms = [(e, 1) for e in gf2poly.exponents(f)]
+    r8 = intres.resultant_mod8(f_terms, G)
     if r8 != 1:
         failures.append("resultant_unit")
-    d8 = discriminant_mod8(f)
+    d8 = _disc_mod8(f_terms)
     sign = 7 if (n * (n - 1) // 2) % 2 else 1
     if pow(n, n, 8) * d8 % 8 != sign * r8 % 8:
         failures.append("determinant_bridge")

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gf2parity import intres
 from gf2parity.gf2poly import exponents, format_poly, from_exponents, is_squarefree
@@ -268,6 +269,23 @@ def test_resultant_mod8_terms_branches(branch):
         assert resultant_mod8(f_terms, terms(g)) == want, (f_terms, g)
 
 
+@pytest.mark.parametrize("lanes", [5, 6])
+@pytest.mark.parametrize("a", [3, 4])
+def test_resultant_mod8_unit_remainder_is_its_own_cofactor(a, lanes):
+    # g = 1 mod 2 with an even leading coefficient: the first split has d = 0,
+    # P = 1 and U = g, with g zero-padded to lanes - 1 so that the lanes sit
+    # on either side of the switch from one byte to two
+    rng = random.Random(f"unit:{a}:{lanes}")
+    for _ in range(100):
+        f_terms = _monic_terms(rng, a)
+        m = rng.randint(1, a - 1)
+        g = [_even(rng) + 1] + [_even(rng) for _ in range(m - 1)] + [rng.choice((2, 4, 6))]
+        g += [0] * (lanes - len(g))
+        assert intres._lane_bytes(lanes) == (1 if lanes == 5 else 2)
+        want = resultant(helpers.dense(f_terms), g) % 8
+        assert resultant_mod8(f_terms, terms(g)) == want, (f_terms, g)
+
+
 def test_resultant_mod8_terms_all_even_remainder():
     # g = f + 2h reduces to the all-even 2h, and 2^a divides the resultant
     rng = random.Random(83)
@@ -363,6 +381,26 @@ def test_resultant_mod8_one_shot_g_far_above_f():
         g = [rng.randint(-9, 9) for _ in range(300)] + [rng.choice((1, 2, 3))]
         want = resultant(f, g) % 8
         assert resultant_mod8(terms(f), ((e, c) for e, c in enumerate(g) if c)) == want, n
+
+
+@st.composite
+def _split_pairs(draw):
+    """Monic f of degree 0..40 and g = P U mod 8, P monic of degree 0..20 and
+    U = 1 mod 2 of degree 1..25 with an even leading coefficient: g splits
+    into these P and U when it is below f's degree."""
+    f = draw(st.lists(st.integers(-20, 20), max_size=40)) + [1]
+    p = draw(st.lists(st.integers(0, 7), max_size=20)) + [1]
+    u = [draw(st.sampled_from((1, 3, 5, 7)))]
+    u += [2 * c for c in draw(st.lists(st.integers(0, 3), max_size=24))]
+    u.append(draw(st.sampled_from((2, 4, 6))))
+    return f, [c % 8 for c in helpers.poly_mul(p, u)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_split_pairs())
+def test_resultant_mod8_property_on_split_g(pair):
+    f, g = pair
+    assert resultant_mod8(terms(f), terms(g)) == resultant(f, g) % 8
 
 
 def test_r1_reduction_invariance():

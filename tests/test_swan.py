@@ -300,7 +300,7 @@ def test_verify_examples():
 
 
 def test_verify_refuses_invalid_support():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unsupported exponent 7"):
         verify_theorem_instance(21, {7})
 
 
