@@ -3,7 +3,7 @@
 Each subcommand wraps one library capability with deterministic output:
 the same argv (and seed, where one applies) always produces the same
 bytes on stdout. Exit codes: 0 success, 1 usage or internal error, 2
-audit violation or fuzz counterexample.
+audit violation, fuzz counterexample or parity disagreement.
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ def _cmd_parity(args) -> int:
     t = gf2poly.count_distinct_irreducible_factors(f)
     observed = ODD if t % 2 else EVEN
     print(f"predicted={predicted} observed={observed} t={t}")
-    return 0
+    if predicted == observed:
+        return 0
+    # both answers are exact, so only a defect gets here
+    print(f"error: predicted parity {predicted} disagrees with the factor count", file=sys.stderr)
+    return 2
 
 
 def _cmd_factors(args) -> int:

@@ -113,6 +113,11 @@ def check_degree(e: int) -> None:
         raise PolyParseError(f"degree {e} is above the maximum of {MAX_DEGREE}")
 
 
+def is_exponent_text(token: str) -> bool:
+    """Plain ASCII decimal digits; int() also takes a sign, "1_1" and other scripts' digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_symbolic(s: str) -> int:
     if s == "0":
         return 0
@@ -122,13 +127,8 @@ def _parse_symbolic(s: str) -> int:
             e = 0
         elif term == "x":
             e = 1
-        elif term.startswith("x^"):
-            try:
-                e = int(term[2:])
-            except ValueError:
-                raise PolyParseError(f"bad term '{term}'") from None
-            if e < 0:
-                raise PolyParseError(f"negative exponent in term '{term}'")
+        elif term.startswith("x^") and is_exponent_text(term[2:]):
+            e = int(term[2:])
             check_degree(e)
         else:
             raise PolyParseError(f"bad term '{term}'")
@@ -142,12 +142,9 @@ def _parse_exponent_list(s: str) -> int:
     bits = 0
     prev = None
     for token in s.split(","):
-        try:
-            e = int(token)
-        except ValueError:
-            raise PolyParseError(f"bad exponent '{token}'") from None
-        if e < 0:
-            raise PolyParseError(f"negative exponent '{token}'")
+        if not is_exponent_text(token):
+            raise PolyParseError(f"bad exponent '{token}'")
+        e = int(token)
         check_degree(e)
         if prev is not None and e >= prev:
             raise PolyParseError(f"exponent '{token}' breaks strictly descending order")

@@ -11,16 +11,15 @@ forces the full computation and cross-checks the shortcut.
 
 The audit enumerates, for odd n in a range, every candidate whose middle
 exponents are all odd and below n/3. For n = +-3 mod 8 it asserts that
-none is irreducible; for n = +-1 mod 8 it only reports how many are. It
-walks the subsets of those exponents in Gray-code order (Knuth, TAOCP 4A,
-7.2.1.1), so each step flips one exponent: one xor into the residues of
-the candidate modulo every irreducible of degree 2..8, packed one 8-bit
-lane per divisor in a single int. A candidate of even weight (x + 1
-divides) or with a zero lane is reducible. The rest are decided together
-by one Rabin test (Rabin, SIAM J. Comput. 1980) per degree, bitsliced
-with one candidate per bit of a Python int (Biham, FSE 1997); for these
-candidates and degrees it is exact. Violations are reported in the
-enumeration order above.
+none is irreducible; for n = +-1 mod 8 it only reports how many are. x + 1
+divides the even-weight ones; the rest are screened by their residues
+modulo every irreducible of degree 2..8, one 8-bit lane per divisor in a
+single int, bitsliced (Biham, FSE 1997): one pass over a table of 2^10-bit
+ints screens 2^10 candidates, one per bit, and the larger exponents are
+walked in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1). The survivors are
+decided together by one Rabin test (Rabin, SIAM J. Comput. 1980) per
+degree, bitsliced the same way; for these candidates and degrees it is
+exact. Violations are reported in the enumeration order above.
 
 Scan and audit refuse, before any work, a degree with more than
 MAX_CANDIDATES_PER_DEGREE candidates; scan, which holds every record,
@@ -37,6 +36,7 @@ import math
 import sys
 from array import array
 from collections import namedtuple
+from operator import and_, or_, xor
 
 from . import gf2poly
 from . import swan
@@ -235,6 +235,10 @@ class _LaneScreen:
     are the xor of powers[e] over the exponents e of f, and q_i divides f
     exactly when lane i is zero. A divisor of degree below deg f is an
     exact proof of reducibility; the screen never claims the converse.
+
+    Bit s of rows[j][i - starts[j]] is bit j of lane i of the sum of
+    x^(2t+3) + x over the bits t of s < 2^low; only lanes of degree 8 - j
+    and up, from starts[j], have a bit j. It serves every n: grow() widens it.
     """
 
     def __init__(self, max_exponent: int):
@@ -252,19 +256,33 @@ class _LaneScreen:
             carries = (cur >> 7) & ones
             cur = ((cur & ones * 0x7F) << 1) ^ (tails & carries * 0xFF)
             self.powers.append(cur)
+        self.starts = [bisect.bisect_left(self.degrees, 8 - j) for j in range(8)]
+        self.rows = [[0] * (len(qs) - start) for start in self.starts]
+        self.low = 0
 
-    def lanes(self, n: int) -> tuple[int, int, int]:
-        """Masks of the lanes whose q has degree below n: all bits, low 7, top bit."""
-        count = bisect.bisect_left(self.degrees, n)
-        return ((1 << 8 * count) - 1,
-                int.from_bytes(b"\x7f" * count, "little"),
-                int.from_bytes(b"\x80" * count, "little"))
+    def lanes(self, n: int) -> int:
+        """How many q have degree below n; their lanes come first."""
+        return bisect.bisect_left(self.degrees, n)
 
+    def grow(self, low: int) -> None:
+        for t in range(self.low, low):
+            flip, w = self.powers[2 * t + 3] ^ self.powers[1], 1 << t
+            self.rows = [[r | (r ^ ((1 << w) - 1) * (flip >> 8 * i + j & 1)) << w
+                          for i, r in enumerate(rows, start)]
+                         for j, (start, rows) in enumerate(zip(self.starts, self.rows))]
+            self.low = t + 1
 
-def _no_zero_lane(res: int, low7: int, high: int) -> bool:
-    # adding 0x7f to a lane's low seven bits carries into its top bit unless
-    # they are all zero, and never out of the lane
-    return (((res & low7) + low7) | res) & high == high
+    def alive(self, base: int, lanes: int) -> int:
+        """Bit s set when base ^ (the sum for s) has no zero lane among the first lanes."""
+        raw = base.to_bytes(len(self.degrees), "little")
+        pick = (0, (1 << (1 << self.low)) - 1).__getitem__
+        # a lane is nonzero where a bit j differs from base's: the row, or its
+        # complement where base's bit j is 1. Every lane has a bit 7.
+        diff = list(map(xor, self.rows[7], map(pick, raw.translate(_BIT01[7]))))
+        for j, start in enumerate(self.starts[:7]):
+            flips = map(pick, raw[start:].translate(_BIT01[j]))
+            diff[start:] = map(or_, diff[start:], map(xor, self.rows[j], flips))
+        return functools.reduce(and_, diff[:lanes])
 
 
 # one shared table per exponent ceiling, built on first use
@@ -277,38 +295,42 @@ def _audit_pool(n: int) -> range:
 
 
 def _audit_survivors(n: int) -> array:
-    """Subsets of _audit_pool(n) whose candidate passes the screen, in walk order.
+    """Indices of the odd-weight candidates with no factor of degree 2..8, in walk order.
 
-    Each is a code whose bit t is set when the candidate has x^m for the
-    t-th pool exponent m.
+    Index s < 2^(|pool| - 1) selects pool[t + 1] = 2t + 3 for each bit t, and
+    pool[0] = 1 when s has even weight. Its residues are those of x^n + x + 1
+    plus x^(2t+3) + x for each t. _LaneScreen.alive decides the low _LOW bits
+    at once; the high bits go in Gray-code order, one xor into base a step.
     """
     screen = _screen_for_cap(1 << max(n.bit_length(), 7))
-    lanes, low7, high = screen.lanes(n)
-    flip = [screen.powers[m] & lanes for m in _audit_pool(n)]
-    # Gray-code walk over the nonempty subsets S of the pool: step j flips
-    # pool index (j & -j).bit_length() - 1 in the residues res, and leaves
-    # the subset with code j ^ (j >> 1). The weight 2 + |S| is odd exactly
-    # after odd steps (x + 1 divides after even ones), and odd steps all
-    # flip index 0, so the walk goes in pairs: pair i is step 2i, flipping
-    # index (i & -i).bit_length() (none for i = 0), then step 2i + 1, and
-    # only its result is tested.
-    pair = [flip[0]] + [r ^ flip[0] for r in flip[1:]]
-    res = (screen.powers[n] ^ screen.powers[0]) & lanes
-    codes = array("I")
-    for i in range(1 << (len(flip) - 1)):
-        res ^= pair[(i & -i).bit_length()]
-        if _no_zero_lane(res, low7, high):
-            codes.append((2 * i + 1) ^ i)
-    return codes
+    k = len(_audit_pool(n)) - 1
+    low = min(k, _LOW)
+    screen.grow(low)
+    lanes, width = screen.lanes(n), 1 << screen.low
+    # step i flips high bit (i & -i).bit_length() - 1, none for i = 0
+    flip = [0] + [screen.powers[2 * t + 3] ^ screen.powers[1] for t in range(low, k)]
+    base = screen.powers[n] ^ screen.powers[1] ^ screen.powers[0]
+    indices = array("I")
+    for i in range(1 << (k - low)):
+        base ^= flip[(i & -i).bit_length()]
+        alive = format(screen.alive(base, lanes), f"0{width}b").encode()[::-1]
+        first = (i ^ i >> 1) << low
+        indices.extend(itertools.compress(range(first, first + (1 << low)),
+                                          alive.translate(_ZERO_ONE)))
+    return indices
 
 
-# _BIT[b] maps a byte to b"1" when its bit b is set and to b"0" otherwise:
-# over bytes 0..255, bit b runs 2^b zeros then 2^b ones, repeated
-_BIT = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+_LOW = 10  # index bits the screen decides at once, one candidate per bit
+# _BIT01[b] maps a byte to 1 when its bit b is set and to 0 otherwise, and
+# _BIT[b] to b"1" and b"0": over bytes 0..255, bit b runs 2^b zeros then
+# 2^b ones, repeated
+_BIT01 = [(bytes(1 << b) + b"\1" * (1 << b)) * (128 >> b) for b in range(8)]
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+_BIT = [t.translate(bytes.maketrans(b"\0\1", b"01")) for t in _BIT01]
 
 
-def _frobenius_irreducible(n: int, pool, codes: array) -> int:
-    """Bit c is set when f_c = x^n + sum of x^m over subset codes[c] + 1 is irreducible.
+def _frobenius_irreducible(n: int, pool, indices: array) -> int:
+    """Bit c is set when f_c, the candidate of index indices[c], is irreducible.
 
     Rabin's test (Rabin, SIAM J. Comput. 1980) on every f_c at once, one
     f_c per bit of a Python int (bitslicing; Biham, FSE 1997): bit c of
@@ -317,17 +339,19 @@ def _frobenius_irreducible(n: int, pool, codes: array) -> int:
     p | n. That is exact only for the audit's survivors; see
     _audit_one_degree. n and the pool exponents must be odd.
     """
-    if not codes:
+    if not indices:
         return 0
-    raw, width = codes.tobytes(), codes.itemsize
-    masks = []
-    for t, m in enumerate(pool):
-        # byte t // 8 of every code, last survivor first, read as binary
+    raw, width = indices.tobytes(), indices.itemsize
+    masks, odd = [], 0
+    for t, m in enumerate(pool[1:]):
+        # byte t // 8 of every index, last survivor first, read as binary
         at = t >> 3 if sys.byteorder == "little" else width - 1 - (t >> 3)
         masks.append((m, int(raw[at::width][::-1].translate(_BIT[t & 7]), 2)))
+        odd ^= masks[-1][1]
+    masks.append((pool[0], (1 << len(indices)) - 1 ^ odd))  # the even-weight indices
     checks = {n // p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
     a = [0] * n
-    a[1] = (1 << len(codes)) - 1
+    a[1] = (1 << len(indices)) - 1
     early = 0
     for step in range(1, n + 1):
         # squaring moves x^i to x^2i; x^k for k >= n is x^(k-n) times
@@ -367,15 +391,17 @@ def _audit_one_degree(n: int) -> AuditRow:
     # occurs at odd n = 135 (9 + 9 + 27 + 45 + 45); MAX_CANDIDATES_PER_DEGREE
     # stops the audit at n = 123, so every verdict is exact.
     pool = _audit_pool(n)
-    codes = _audit_survivors(n)
-    irreducible = _frobenius_irreducible(n, pool, codes)
+    indices = _audit_survivors(n)
+    irreducible = _frobenius_irreducible(n, pool, indices)
     asserted = swan.residue_parity(n) == EVEN
     found = []
     if asserted:
-        flags = format(irreducible, f"0{len(codes)}b")[::-1]
-        for code, flag in zip(codes, flags):
+        flags = format(irreducible, f"0{len(indices)}b")[::-1]
+        for s, flag in zip(indices, flags):
             if flag == "1":
-                mids = [m for t, m in enumerate(pool) if code >> t & 1]
+                mids = [m for t, m in enumerate(pool[1:]) if s >> t & 1]
+                if s.bit_count() % 2 == 0:
+                    mids.append(pool[0])
                 found.append(gf2poly.from_exponents((n, *mids, 0)))
     # subset size, then descending lexicographic, as _middle_tuples yields them;
     # among supports of one size that is descending order of the ints

@@ -188,12 +188,10 @@ def parse_support_spec(text: str) -> SupportSpec:
     head, sep, tail = s.partition(";")
     if not sep or not head.startswith("n=") or not tail.startswith("S="):
         raise ValueError(f"bad support spec '{text}', expected n=<deg>;S=<exponents>")
-    try:
-        n = int(head[2:])
-        body = tail[2:]
-        support = frozenset(int(t) for t in body.split(",")) if body else frozenset()
-    except ValueError:
-        raise ValueError(f"bad support spec '{text}'") from None
+    tokens = [head[2:], *(tail[2:].split(",") if tail[2:] else ())]
+    if not all(map(gf2poly.is_exponent_text, tokens)):
+        raise ValueError(f"bad support spec '{text}'")
+    n, *support = map(int, tokens)
     gf2poly.check_degree(n)
     return SupportSpec(n, support)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gf2parity
-from gf2parity import cli, lemma_lab
+from gf2parity import cli, lemma_lab, swan
 from gf2parity import search as search_mod
 from gf2parity.cli import main
 from gf2parity.gf2poly import MAX_DEGREE, parse_poly
@@ -43,6 +43,27 @@ def test_parity_rejects_non_squarefree(capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_parity_disagreement_exits_2(capsys, monkeypatch):
+    # the two parities are exact, so only a defect makes them differ
+    monkeypatch.setattr(swan, "stickelberger_parity", lambda f: "even")
+    assert run(capsys, ["parity", "x^21+x^7+1"]) == (
+        2, "predicted=even observed=odd t=1\n",
+        "error: predicted parity even disagrees with the factor count\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parity", "x^1_1+1"], ["parity", "+5,0"], ["parity", "\u0663,0"],
+    ["parity", "x^\u0663+1"], ["parity", "x^+3+1"], ["factors", "2_1,7,0"],
+    ["verify", "--spec", "n=1_3;S=1,9"], ["predict", "--spec", "n=13;S=+1,9"],
+    ["verify", "--spec", "n=13;S=\u0661"], ["predict", "--spec", "n=+13;S=1"],
+])
+def test_exponents_are_plain_ascii_digits(capsys, argv):
+    # int() alone takes signs, underscores and other scripts' digits
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: bad ") and err.count("\n") == 1, err
 
 
 def test_factors(capsys):

@@ -27,7 +27,6 @@ from gf2parity.search import (
     _candidate_count,
     _frobenius_irreducible,
     _middle_tuples,
-    _no_zero_lane,
     corollary_audit,
     enumerate_candidates,
     scan,
@@ -199,22 +198,42 @@ def _residue(screen, f: int) -> int:
 
 
 def _zero_lane(screen, f: int) -> bool:
-    lanes, low7, high = screen.lanes(f.bit_length() - 1)
-    return not _no_zero_lane(_residue(screen, f) & lanes, low7, high)
+    in_use = screen.lanes(f.bit_length() - 1)
+    return 0 in _residue(screen, f).to_bytes(len(SMALL_Q), "little")[:in_use]
 
 
-def test_no_zero_lane_is_exact_per_lane():
-    for a in range(256):
-        for b in range(256):
-            res = a | b << 8
-            assert _no_zero_lane(res, 0x7F7F, 0x8080) == (a != 0 and b != 0), (a, b)
-    # residues with the top bit set, or all bits set, beside zero lanes
-    for lanes in ([0x80, 0x00, 0xFF], [0x00, 0x80], [0xFF, 0x00], [0x80, 0xFF, 0x01],
-                  [0xFF] * 68 + [0x00], [0x00] + [0x80] * 68, [0xFF, 0x80] * 34 + [0x7F]):
-        res = int.from_bytes(bytes(lanes), "little")
-        low7 = int.from_bytes(b"\x7f" * len(lanes), "little")
-        high = int.from_bytes(b"\x80" * len(lanes), "little")
-        assert _no_zero_lane(res, low7, high) == (0 not in lanes), lanes
+def _slice_sums(screen) -> list[int]:
+    """Residues of the sum of x^(2t+3) + x over t in s, for every s < 2^10."""
+    sums = [0]
+    for t in range(10):
+        flip = screen.powers[2 * t + 3] ^ screen.powers[1]
+        sums += [r ^ flip for r in sums]
+    return sums
+
+
+def test_sliced_screen_is_exact_per_lane():
+    screen = _LaneScreen(64)
+    screen.grow(10)
+    sums = _slice_sums(screen)
+    # the residue bits of each lane: its top deg q bits
+    masks = [0xFF << (8 - d) & 0xFF for d in screen.degrees]
+    # residues with the top bit set, all bits set, or only the bottom bit set
+    # (a residue only in degree-8 lanes), beside zero lanes
+    patterns = ([0x80, 0x00, 0xFF], [0x00, 0x80], [0xFF, 0x00], [0x80, 0xFF, 0x01],
+                [0x01, 0x00], [0x00, 0x01, 0xFF], [0x7F, 0x80, 0x00])
+    checked = 0
+    for pattern in patterns:
+        for shift in range(len(pattern)):
+            tiled = (pattern[shift:] + pattern[:shift]) * 69
+            base = int.from_bytes(bytes(v & m for v, m in zip(tiled, masks)), "little")
+            for in_use in (69, screen.lanes(5)):
+                alive = screen.alive(base, in_use)
+                assert alive >> 1024 == 0
+                for s, r in enumerate(sums):
+                    lanes = (base ^ r).to_bytes(69, "little")[:in_use]
+                    assert alive >> s & 1 == (0 not in lanes), (pattern, shift, in_use, s)
+                checked += alive & 1 == 0
+    assert checked >= 2 * len(patterns)  # s = 0, base itself, has zero lanes
 
 
 def test_lane_screen_matches_trial_division():
@@ -231,8 +250,8 @@ def test_lane_screen_matches_trial_division():
             q = rng.choice(SMALL_Q)
             bits = helpers.o_mul(helpers.random_bits(rng, n - q.bit_length() + 1), q)
         degree = bits.bit_length() - 1
-        lanes, low7, high = screen.lanes(degree)
-        res = _residue(screen, bits) & lanes
+        lanes = screen.lanes(degree)
+        res = _residue(screen, bits) & (1 << 8 * lanes) - 1
         divides = False
         for i, q in enumerate(SMALL_Q):
             # lane i holds f mod q_i shifted up by 8 - deg q_i; lanes of q
@@ -240,10 +259,10 @@ def test_lane_screen_matches_trial_division():
             d = q.bit_length() - 1
             in_use = d < degree
             rem = helpers.o_divmod(bits, q)[1]
-            assert lanes >> 8 * i & 0xFF == (0xFF if in_use else 0)
+            assert (i < lanes) == in_use
             assert res >> 8 * i & 0xFF == (rem << (8 - d) if in_use else 0), (hex(bits), i)
             divides = divides or (in_use and rem == 0)
-        assert _no_zero_lane(res, low7, high) == (not divides), hex(bits)
+        assert (0 in res.to_bytes(69, "little")[:lanes]) == divides, hex(bits)
         zero_seen += divides
     assert 100 <= zero_seen < 300
 
@@ -271,7 +290,7 @@ def test_screened_test_agrees_on_degree_one():
     screen = _LaneScreen(64)
     for text in ("x", "x+1"):
         f = parse_poly(text)
-        assert screen.lanes(f.bit_length() - 1)[0] == 0, text
+        assert screen.lanes(f.bit_length() - 1) == 0, text
         assert not _zero_lane(screen, f), text
         assert is_irreducible(f), text
 
@@ -337,12 +356,46 @@ def test_audit_violations_in_enumeration_order(monkeypatch):
     assert reported == 0 + 2 + 17 + 68
 
 
-def _survivor_poly(n: int, code: int) -> int:
-    bits = 1 << n | 1
-    for t, m in enumerate(_audit_pool(n)):
-        if code >> t & 1:
-            bits |= 1 << m
-    return bits
+def _survivor_poly(n: int, index: int) -> int:
+    """The candidate of a survivor index: bit t picks pool[t + 1], and pool[0]
+    makes the weight odd."""
+    pool = list(_audit_pool(n))
+    mids = [m for t, m in enumerate(pool[1:]) if index >> t & 1]
+    if len(mids) % 2 == 0:
+        mids.append(pool[0])
+    return from_exponents((n, *mids, 0))
+
+
+def _screen_oracle(f: int) -> bool:
+    """Odd weight and no irreducible of degree 2..8, below deg f, divides f."""
+    n = f.bit_length() - 1
+    return f.bit_count() % 2 == 1 and all(
+        helpers.o_divmod(f, q)[1] for q in SMALL_Q if q.bit_length() - 1 < n)
+
+
+def test_audit_survivors_match_trial_division():
+    for n in range(5, 46, 2):
+        pool = list(_audit_pool(n))
+        got = [_survivor_poly(n, s) for s in _audit_survivors(n)]
+        assert len(set(got)) == len(got)
+        want = []
+        for mask in range(1, 1 << len(pool)):
+            f = from_exponents((n, *(pool[t] for t in range(len(pool)) if mask >> t & 1), 0))
+            if _screen_oracle(f):
+                want.append(f)
+        assert sorted(got) == sorted(want), n
+    rng = random.Random(2105)
+    for n in (71, 89, 99, 123):
+        k = len(_audit_pool(n)) - 1
+        assert k > 10  # the high indices walk
+        indices = _audit_survivors(n)
+        assert all(s >> k == 0 for s in indices)
+        kept = set(indices)
+        assert len(kept) == len(indices)
+        for s in rng.sample(indices, 25):
+            assert _screen_oracle(_survivor_poly(n, s)), (n, s)
+        for s in rng.sample(range(1 << k), 25):
+            assert (s in kept) == _screen_oracle(_survivor_poly(n, s)), (n, s)
 
 
 def _frobenius_fixes_x(f: int, steps: int) -> bool:
