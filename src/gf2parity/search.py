@@ -306,14 +306,15 @@ def _audit_survivors(n: int) -> array:
     k = len(_audit_pool(n)) - 1
     low = min(k, _LOW)
     screen.grow(low)
-    lanes, width = screen.lanes(n), 1 << screen.low
+    lanes = screen.lanes(n)
     # step i flips high bit (i & -i).bit_length() - 1, none for i = 0
     flip = [0] + [screen.powers[2 * t + 3] ^ screen.powers[1] for t in range(low, k)]
     base = screen.powers[n] ^ screen.powers[1] ^ screen.powers[0]
     indices = array("I")
     for i in range(1 << (k - low)):
         base ^= flip[(i & -i).bit_length()]
-        alive = format(screen.alive(base, lanes), f"0{width}b").encode()[::-1]
+        # lowest bit first; compress drops the missing high zeros
+        alive = format(screen.alive(base, lanes), "b").encode()[::-1]
         first = (i ^ i >> 1) << low
         indices.extend(itertools.compress(range(first, first + (1 << low)),
                                           alive.translate(_ZERO_ONE)))
