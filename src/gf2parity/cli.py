@@ -49,8 +49,7 @@ def _cmd_disc(args) -> int:
 
 def _cmd_predict(args) -> int:
     spec = swan.parse_support_spec(args.spec)
-    parity = swan.theorem_parity(spec.n, spec.support)
-    print(f"predicted={parity}")
+    print(f"predicted={swan.theorem_parity(spec.n, spec.support)}")
     return 0
 
 
@@ -105,9 +104,7 @@ def _print_records(kind, records, fmt: str) -> None:
 
 
 def _cmd_search(args) -> int:
-    mod8 = None
-    if args.mod8:
-        mod8 = frozenset(int(tok) for tok in args.mod8.split(","))
+    mod8 = frozenset(int(tok) for tok in args.mod8.split(",")) if args.mod8 else None
     q = search_mod.SearchQuery(
         n_lo=args.n_lo, n_hi=args.n_hi, shape=args.shape,
         exponents=args.exponents, m1_bound=args.m1_bound, mod8=mod8)

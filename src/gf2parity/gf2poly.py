@@ -96,10 +96,10 @@ def parse_poly(text: str) -> int:
     if not s:
         raise PolyParseError("empty polynomial text")
     if s[:2].lower() == "0x":
-        try:
-            bits = int(s, 16)
-        except ValueError:
-            raise PolyParseError(f"bad hexadecimal literal '{s}'") from None
+        # ASCII hex digits only: int() also takes "1_3" and other scripts' digits
+        if len(s) == 2 or s[2:].strip("0123456789abcdefABCDEF"):
+            raise PolyParseError(f"bad hexadecimal literal '{s}'")
+        bits = int(s, 16)
         check_degree(bits.bit_length() - 1)
         return bits
     if "x" in s or s in ("0", "1"):
@@ -192,10 +192,7 @@ def is_squarefree(f: int) -> bool:
     if f == 1:
         return True
     d = derivative_f2(f)
-    if d == 0:
-        # every exponent even, so f is a square
-        return False
-    return gcd(f, d) == 1
+    return d != 0 and gcd(f, d) == 1  # d = 0: every exponent even, so f is a square
 
 
 def count_distinct_irreducible_factors(f: int) -> int:

@@ -3,7 +3,7 @@
 An integer polynomial is a list of int coefficients, lowest first, whose
 length minus one is its degree in the Sylvester layout: trailing zeros
 are zero-padding. The exact resultant comes from Collins' modular
-algorithm (J. ACM 18, 1971): Euclid over F_p for primes p below 2^62,
+algorithm (J. ACM 18, 1971): Euclid over F_p for primes p below 2^81,
 joined by CRT up to the Hadamard bound; the exact discriminant of a
 monic f is +-res(f, f'). det_exact is a fraction-free (Bareiss)
 determinant, the exact check of the lemma matrices. resultant_mod8 runs
@@ -29,6 +29,13 @@ class IntMatrix:
         self.n_cols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.n_cols for r in self.rows):
             raise ValueError("ragged rows")
+
+    @classmethod
+    def wrap(cls, rows: list[list[int]]) -> IntMatrix:
+        """The matrix of rows, lists of one length, kept as they are: no copy, no check."""
+        m = object.__new__(cls)
+        m.rows, m.n_rows, m.n_cols = rows, len(rows), len(rows[0]) if rows else 0
+        return m
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -176,15 +183,15 @@ def resultant_mod8(f_terms, g_terms) -> int:
     return out
 
 
-# the first twelve primes: as Miller-Rabin bases they decide primality
-# exactly below 3.18e23 (Sorenson and Webster, 2015), so below 2^62
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the primes below 2^62, largest first, found as needed past the two most used
-_PRIMES = [(1 << 62) - 57, (1 << 62) - 87]
+# the first thirteen primes: as Miller-Rabin bases they decide primality
+# exactly below 3.3e24 (Sorenson and Webster, Math. Comp. 2017), so below 2^81
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the primes below 2^81, largest first, found as needed past the two most used
+_PRIMES = [(1 << 81) - 51, (1 << 81) - 63]
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on _BASES for odd n > 37, with n - 1 = 2^s d, d odd."""
+    """Miller-Rabin on _BASES for odd n > 41, with n - 1 = 2^s d, d odd."""
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     return all(n % a for a in _BASES) and all(
@@ -192,7 +199,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime(k: int) -> int:
-    """The k-th largest prime below 2^62, k = 0 for the largest."""
+    """The k-th largest prime below 2^81, k = 0 for the largest."""
     while len(_PRIMES) <= k:
         _PRIMES.append(next(c for c in range(_PRIMES[-1] - 2, 0, -2) if _is_prime(c)))
     return _PRIMES[k]
@@ -227,7 +234,7 @@ def resultant(f: list[int], g: list[int]) -> int:
     Sylvester determinant at degrees n = len(f) - 1 and m = len(g) - 1.
 
     Trailing zeros zero-pad g, which only a monic f allows; a constant f
-    gives f0^m. The residues mod the primes below 2^62 that miss lc(f) lc(g)
+    gives f0^m. The residues mod the primes below 2^81 that miss lc(f) lc(g)
     are joined by CRT past twice the Hadamard bound |f|^m |g|^n.
     """
     if not f or not f[-1]:

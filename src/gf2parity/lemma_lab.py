@@ -45,7 +45,6 @@ import itertools
 import json
 import operator
 from array import array
-from pathlib import Path
 
 from . import gf2poly
 from . import intres
@@ -227,13 +226,17 @@ def _draw(getrandbits, plan) -> bytes:
 
 
 def _matrix(getrandbits, plan, side: int) -> IntMatrix:
-    flat = plan[2](_draw(getrandbits, plan))
-    return IntMatrix([flat[i:i + side] for i in range(0, side * side, side)])
+    # rows zipped off one iterator; [:side] drops the gather's trailing 0 (a row at side 1)
+    rows = zip(*[iter(plan[2](_draw(getrandbits, plan)))] * side)
+    return IntMatrix.wrap(list(map(list, rows))[:side])
 
 
 def _degree(coeffs) -> int:
     """Degree of a coefficient list, lowest first, trailing zeros aside; -1 for 0."""
-    return max((i for i, c in enumerate(coeffs) if c), default=-1)
+    d = len(coeffs) - 1
+    while d >= 0 and not coeffs[d]:
+        d -= 1
+    return d
 
 
 # -- D: diagonal-dominant product lemma --------------------------------------
@@ -252,18 +255,16 @@ def check_d(instance: LemmaInstance) -> bool:
     if m is None or m.n_rows != m.n_cols:
         raise HypothesisViolation("needs a square matrix")
     rows = m.rows
-    n = m.n_rows
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if rows[i][j] % 2:
-                raise HypothesisViolation(f"entry ({i},{j}) is odd")
-            if rows[i][j] * rows[j][i] % 8:
-                raise HypothesisViolation(f"product at ({i},{j}) is not 0 mod 8")
     prod = 1
-    for i in range(n):
-        prod = prod * rows[i][i] % 8
+    for i, row in enumerate(rows):
+        prod = prod * row[i] % 8
+        for j in range(i + 1, m.n_cols):
+            a, b = row[j], rows[j][i]
+            if (a | b) % 2:
+                odd = (i, j) if a % 2 else (j, i)
+                raise HypothesisViolation(f"entry ({odd[0]},{odd[1]}) is odd")
+            if a * b % 8:
+                raise HypothesisViolation(f"product at ({i},{j}) is not 0 mod 8")
     return intres.det_exact(m) % 8 == prod
 
 
@@ -310,10 +311,11 @@ def check_l1(instance: LemmaInstance) -> bool:
     if n <= 1 or s < 1:
         raise HypothesisViolation("needs n > 1 and s >= 1")
     h = instance.polys.get("h", ())
-    if not any(h) or h[0] != 0:
+    dh = _degree(h)
+    if dh < 0 or h[0] != 0:
         raise HypothesisViolation("H must be divisible by x")
-    if _degree(h) != s:
-        raise HypothesisViolation(f"deg H = {_degree(h)}, hypotheses want exactly {s}")
+    if dh != s:
+        raise HypothesisViolation(f"deg H = {dh}, hypotheses want exactly {s}")
     for k in range(3 if instance.lemma_id == "L1a" else 2):
         d = _degree(instance.polys.get(f"f{k}", ()))
         if d >= max(n - k * s, 0):
@@ -584,8 +586,10 @@ def recheck(instance: LemmaInstance) -> bool:
 
 def write_replay(path, instance: LemmaInstance) -> None:
     """Serialize a counterexample (or any instance) for later replay."""
-    Path(path).write_text(json.dumps(instance.to_json(), indent=2) + "\n")
+    with open(path, "w") as out:
+        out.write(json.dumps(instance.to_json(), indent=2) + "\n")
 
 
 def read_replay(path) -> LemmaInstance:
-    return LemmaInstance.from_json(json.loads(Path(path).read_text()))
+    with open(path) as src:
+        return LemmaInstance.from_json(json.load(src))

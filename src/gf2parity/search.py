@@ -123,13 +123,11 @@ def _m1_passes(q: SearchQuery, n: int, m1: int) -> bool:
 
 def _middle_tuples(q: SearchQuery, n: int):
     pool = _middle_pool(q, n)
-    if q.shape == "trinomial":
-        groups = itertools.combinations(pool, 1)
-    elif q.shape == "pentanomial":
-        groups = itertools.combinations(pool, 3)
-    else:
+    if q.shape == "any-support":
         groups = itertools.chain.from_iterable(
             itertools.combinations(pool, k) for k in range(1, len(pool) + 1))
+    else:
+        groups = itertools.combinations(pool, 1 if q.shape == "trinomial" else 3)
     for mids in groups:
         if _m1_passes(q, n, mids[0]):
             yield mids
@@ -167,8 +165,7 @@ def _classify(n: int, mids: tuple[int, ...], full_check: bool) -> SearchRecord:
     predicted = swan.residue_parity(n) if valid else None
     if valid and predicted == EVEN and not full_check:
         # an even factor count rules out irreducibility without factoring
-        irreducible = False
-        observed = EVEN
+        irreducible, observed = False, EVEN
     else:
         t = gf2poly.count_distinct_irreducible_factors(f)
         observed = ODD if t % 2 else EVEN

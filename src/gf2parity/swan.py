@@ -59,9 +59,7 @@ def _disc_mod8(f_terms: list[tuple[int, int]]) -> int:
 
 
 def _admissible(n: int, i: int) -> bool:
-    if not 0 < i < n:
-        return False
-    return (i % 2 == 1 and 3 * i < n) or i % 4 == n % 4
+    return 0 < i < n and ((i % 2 == 1 and 3 * i < n) or i % 4 == n % 4)
 
 
 def validate_support(n: int, support) -> bool:

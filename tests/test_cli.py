@@ -66,6 +66,11 @@ def test_exponents_are_plain_ascii_digits(capsys, argv):
     assert err.startswith("error: bad ") and err.count("\n") == 1, err
 
 
+def test_hex_is_plain_ascii_digits(capsys):
+    rc, out, err = run(capsys, ["factors", "0x1_3"])
+    assert (rc, out, err) == (1, "", "error: bad hexadecimal literal '0x1_3'\n")
+
+
 def test_factors(capsys):
     rc, out, _ = run(capsys, ["factors", "x^8+x^4+1"])
     assert rc == 0
@@ -525,11 +530,13 @@ _FORMATS = ["jsonl", "csv", "table"]
 
 
 def test_parity_query_imports_no_record_or_csv_machinery():
-    # start-up is most of a one-off query: the records are plain classes, and
-    # csv loads only for --format csv (-S keeps site's own imports out)
+    # start-up is most of a one-off query: the records are plain classes, csv
+    # loads only for --format csv, and replay files are read and written with
+    # open() (-S keeps site's own imports out)
     src = str(Path(gf2parity.__file__).parents[1])
     code = ("import sys; from gf2parity.cli import main; main(['parity', 'x^21+x^7+1']); "
-            "print(sorted({'dataclasses', 'inspect', 'typing', 'csv'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'csv', 'pathlib'}"
+            " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "predicted=odd observed=odd t=1\n[]\n")

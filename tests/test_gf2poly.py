@@ -52,6 +52,13 @@ def test_parse_hex():
     assert P("0xb") == P("x^3+x+1")
 
 
+@pytest.mark.parametrize("text", ["0x1_3", "0x\u0661\u0663", "0x", "0x+13", "0x0x13"])
+def test_parse_hex_takes_only_ascii_hex_digits(text):
+    # int(s, 16) alone reads the first two as 0x13, x^4+x+1
+    with pytest.raises(PolyParseError, match="bad hexadecimal literal"):
+        P(text)
+
+
 def test_parse_readme_forms():
     # every form the README's parsing list names is accepted
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()

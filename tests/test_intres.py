@@ -451,17 +451,18 @@ def test_padding_invariance():
 
 # -- the modular exact resultant against the Bareiss oracle ----------------------
 
-def test_primes_are_the_consecutive_primes_below_2_62():
+def test_primes_are_the_consecutive_primes_below_2_81():
     sympy = pytest.importorskip("sympy")
-    p = 1 << 62
+    p = 1 << 81
     for k in range(24):
         p = sympy.prevprime(p)
         assert intres._prime(k) == p, k
     rng = random.Random(137)
-    # odd numbers near 2^62 and below, and strong pseudoprimes to several bases
-    cases = [rng.randrange(39, 1 << 62) | 1 for _ in range(3000)] + list(range(39, 20000, 2))
+    # odd numbers near 2^81 and below, and strong pseudoprimes to several bases:
+    # the last, psi_12, passes Miller-Rabin on each of the twelve primes up to 37
+    cases = [rng.randrange(43, 1 << 81) | 1 for _ in range(3000)] + list(range(43, 20000, 2))
     cases += [3215031751, 2152302898747, 3474749660383, 341550071728321,
-              3825123056546413051]
+              3825123056546413051, 318665857834031151167461]
     for n in cases:
         assert intres._is_prime(n) == sympy.isprime(n), n
 

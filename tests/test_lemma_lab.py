@@ -66,8 +66,10 @@ def test_d_rejects_bad_product():
 
 
 def test_d_rejects_odd_off_diagonal():
-    with pytest.raises(HypothesisViolation):
-        check_d(d_instance([[1, 3], [0, 1]]))
+    # an odd entry above the diagonal and one below it, each with a product of 0
+    for rows in ([[1, 3], [0, 1]], [[1, 0], [3, 1]]):
+        with pytest.raises(HypothesisViolation):
+            check_d(d_instance(rows))
 
 
 def test_d_generator_output_checks():
