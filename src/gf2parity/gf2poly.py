@@ -18,7 +18,7 @@ import functools
 
 # the highest degree accepted from text (parse_poly, swan.parse_support_spec,
 # search.SearchQuery). It bounds memory and, with it, the time of exact disc:
-# at degree 511 about 0.25 s on a sparse input and 14-17 s on a dense one (README)
+# at degree 511 about 0.22 s on a sparse input and 10-13 s on a dense one (README)
 MAX_DEGREE = 511
 
 _NEGATIVE = "a polynomial is a nonnegative int"

@@ -476,7 +476,7 @@ _GENERAL_DEGREES = (5, 7, 9, 11)
 # the largest matrix a campaign checks, as its side: the matrix for D, L2
 # and GENERAL, whose det_exact takes at most about 2.5 s at side 200 (D;
 # L2 0.8 s, GENERAL 0.5 s) and grows as the cube of the side, and n + s for
-# L1, whose resultant takes at most about 0.15 s at n + s = 200 and builds no matrix.
+# L1, whose resultant takes at most about 0.11 s at n + s = 200 and builds no matrix.
 MAX_SIDE = 200
 
 

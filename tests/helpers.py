@@ -9,6 +9,7 @@ and which shares nothing with the modular resultant they check.
 """
 
 import itertools
+import math
 import random
 
 from gf2parity.intres import IntMatrix, det_exact
@@ -327,3 +328,13 @@ def discriminant_bareiss(f) -> int:
     n = len(f) - 1
     r = det_exact(IntMatrix(multiplication_matrix(f, [i * c for i, c in enumerate(f)][1:])))
     return -r if (n * (n - 1) // 2) % 2 else r
+
+
+def swan_trinomial_disc(n: int, k: int) -> int:
+    """disc(x^n + x^k + 1) for 0 < k < n in closed form (Swan, Pacific J. Math. 12,
+    1962, Theorem 2): with d = gcd(n, k), N = n/d and K = k/d it is
+    (-1)^(n(n-1)/2) (n^N - (-1)^N (n-k)^(N-K) k^K)^d."""
+    d = math.gcd(n, k)
+    big_n, big_k = n // d, k // d
+    return ((-1) ** (n * (n - 1) // 2)
+            * (n ** big_n - (-1) ** big_n * (n - k) ** (big_n - big_k) * k ** big_k) ** d)

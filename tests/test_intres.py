@@ -557,6 +557,18 @@ def test_discriminant_matches_bareiss_oracle_up_to_degree_127():
         assert discriminant_int(f) == helpers.discriminant_bareiss(f), exps
 
 
+@pytest.mark.parametrize("n, ks", [(127, (1, 63, 126)), (255, (1, 85, 102, 254)),
+                                   (511, (1, 7, 219, 350, 510))])
+def test_discriminant_int_matches_swan_on_trinomials(n, ks):
+    # Swan's closed form is exact at any degree: at n = 511, |disc| has 4,598
+    # bits and the CRT joins 62 to 65 primes. k shares 85 or 51 with 255, and
+    # 73 or 7 with 511
+    for k in ks:
+        f = [1] + [0] * (n - 1) + [1]
+        f[k] += 1
+        assert discriminant_int(f) == helpers.swan_trinomial_disc(n, k), (n, k)
+
+
 def test_exact_discriminant_agrees_with_the_mod8_path():
     # the CRT path and the Hensel-split Euclid over Z/8 share nothing, and
     # together they reach degrees the Bareiss oracle cannot in test time

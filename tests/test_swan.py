@@ -11,6 +11,7 @@ import pytest
 from gf2parity.gf2poly import (
     count_distinct_irreducible_factors,
     from_exponents,
+    is_squarefree,
     parse_poly,
 )
 from gf2parity import intres, swan
@@ -20,6 +21,7 @@ from gf2parity.swan import (
     ODD,
     SupportSpec,
     check_g_terms,
+    discriminant_mod8,
     g_terms,
     invalid_support_elements,
     lift_01,
@@ -88,6 +90,23 @@ def test_stickelberger_matches_berlekamp_at_large_degree(degree):
         f = helpers.random_squarefree_bits(rng, degree)
         t = count_distinct_irreducible_factors(f)
         assert stickelberger_parity(f) == (ODD if t % 2 else EVEN), hex(f)
+
+
+def test_mod8_and_parity_match_swan_on_trinomials():
+    # every trinomial of degree 2..8, across the 1- to 2-byte lane switch of
+    # resultant_mod8, then a seeded sample up to degree 511; an even Swan
+    # discriminant means a repeated factor
+    rng = random.Random(10)
+    pairs = [(n, k) for n in range(2, 9) for k in range(1, n)]
+    pairs += [(n, rng.randrange(1, n)) for n in (rng.randrange(9, 512) for _ in range(2000))]
+    for n, k in pairs:
+        f, disc = 1 << n | 1 << k | 1, helpers.swan_trinomial_disc(n, k)
+        assert discriminant_mod8(f) == disc % 8, (n, k)
+        if disc % 2:
+            want = ODD if (n % 2 == 1) == (disc % 8 == 1) else EVEN
+            assert stickelberger_parity(f) == want, (n, k)
+        else:
+            assert not is_squarefree(f), (n, k)
 
 
 # -- support validation and the predictor --------------------------------------
