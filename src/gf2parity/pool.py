@@ -13,7 +13,9 @@ def pool_size(jobs: int, tasks: int) -> int:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    if min(jobs, tasks) <= 1:
+        return 1  # without asking the OS for its CPU count
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def map_in_pool(fn, tasks: list, jobs: int) -> list:

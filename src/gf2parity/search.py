@@ -14,8 +14,8 @@ exponents are all odd and below n/3. For n = +-3 mod 8 it asserts that
 none is irreducible; for n = +-1 mod 8 it only reports how many are. x + 1
 divides the even-weight ones; the rest are screened by their residues
 modulo every irreducible of degree 2..8, one 8-bit lane per divisor in a
-single int, bitsliced (Biham, FSE 1997): one pass over a table of 2^10-bit
-ints screens 2^10 candidates, one per bit, and the larger exponents are
+single int, bitsliced (Biham, FSE 1997): one pass over a table of 2^12-bit
+ints screens 2^12 candidates, one per bit, and the larger exponents are
 walked in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1). The survivors are
 decided together by one Rabin test (Rabin, SIAM J. Comput. 1980) per
 degree, bitsliced the same way; for these candidates and degrees it is
@@ -36,7 +36,7 @@ import math
 import sys
 from array import array
 from collections import namedtuple
-from operator import and_, or_, xor
+from operator import and_, getitem, or_
 
 from . import gf2poly
 from . import swan
@@ -235,7 +235,8 @@ class _LaneScreen:
 
     Bit s of rows[j][i - starts[j]] is bit j of lane i of the sum of
     x^(2t+3) + x over the bits t of s < 2^low; only lanes of degree 8 - j
-    and up, from starts[j], have a bit j. It serves every n: grow() widens it.
+    and up, from starts[j], have a bit j. pairs[j] holds each row beside
+    its complement. It serves every n: grow() widens both.
     """
 
     def __init__(self, max_exponent: int):
@@ -255,6 +256,7 @@ class _LaneScreen:
             self.powers.append(cur)
         self.starts = [bisect.bisect_left(self.degrees, 8 - j) for j in range(8)]
         self.rows = [[0] * (len(qs) - start) for start in self.starts]
+        self.pairs = [[(0, 1)] * len(rows) for rows in self.rows]
         self.low = 0
 
     def lanes(self, n: int) -> int:
@@ -262,23 +264,26 @@ class _LaneScreen:
         return bisect.bisect_left(self.degrees, n)
 
     def grow(self, low: int) -> None:
+        if low <= self.low:
+            return
         for t in range(self.low, low):
             flip, w = self.powers[2 * t + 3] ^ self.powers[1], 1 << t
             self.rows = [[r | (r ^ ((1 << w) - 1) * (flip >> 8 * i + j & 1)) << w
                           for i, r in enumerate(rows, start)]
                          for j, (start, rows) in enumerate(zip(self.starts, self.rows))]
-            self.low = t + 1
+        self.low, full = low, (1 << (1 << low)) - 1
+        self.pairs = [[(r, r ^ full) for r in rows] for rows in self.rows]
 
     def alive(self, base: int, lanes: int) -> int:
         """Bit s set when base ^ (the sum for s) has no zero lane among the first lanes."""
         raw = base.to_bytes(len(self.degrees), "little")
-        pick = (0, (1 << (1 << self.low)) - 1).__getitem__
-        # a lane is nonzero where a bit j differs from base's: the row, or its
-        # complement where base's bit j is 1. Every lane has a bit 7.
-        diff = list(map(xor, self.rows[7], map(pick, raw.translate(_BIT01[7]))))
+        # a lane is nonzero where a bit j differs from base's: base's bit j
+        # picks the row where it is 0 and its complement where it is 1.
+        # Every lane has a bit 7.
+        diff = list(map(getitem, self.pairs[7], raw.translate(_BIT01[7])))
         for j, start in enumerate(self.starts[:7]):
-            flips = map(pick, raw[start:].translate(_BIT01[j]))
-            diff[start:] = map(or_, diff[start:], map(xor, self.rows[j], flips))
+            picked = map(getitem, self.pairs[j], raw[start:].translate(_BIT01[j]))
+            diff[start:] = map(or_, diff[start:], picked)
         return functools.reduce(and_, diff[:lanes])
 
 
@@ -318,7 +323,7 @@ def _audit_survivors(n: int) -> array:
     return indices
 
 
-_LOW = 10  # index bits the screen decides at once, one candidate per bit
+_LOW = 12  # index bits the screen decides at once, one candidate per bit
 # _BIT01[b] maps a byte to 1 when its bit b is set and to 0 otherwise, and
 # _BIT[b] to b"1" and b"0": over bytes 0..255, bit b runs 2^b zeros then
 # 2^b ones, repeated
@@ -340,11 +345,13 @@ def _frobenius_irreducible(n: int, pool, indices: array) -> int:
     if not indices:
         return 0
     raw, width = indices.tobytes(), indices.itemsize
+    # cols[b] is byte b of every index, last survivor first
+    cols = [raw[b if sys.byteorder == "little" else width - 1 - b::width][::-1]
+            for b in range((len(pool) + 6) >> 3)]
     masks, odd = [], 0
     for t, m in enumerate(pool[1:]):
-        # byte t // 8 of every index, last survivor first, read as binary
-        at = t >> 3 if sys.byteorder == "little" else width - 1 - (t >> 3)
-        masks.append((m, int(raw[at::width][::-1].translate(_BIT[t & 7]), 2)))
+        # bit t of every index, read as binary
+        masks.append((m, int(cols[t >> 3].translate(_BIT[t & 7]), 2)))
         odd ^= masks[-1][1]
     masks.append((pool[0], (1 << len(indices)) - 1 ^ odd))  # the even-weight indices
     checks = {n // p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
@@ -393,14 +400,14 @@ def _audit_one_degree(n: int) -> AuditRow:
     irreducible = _frobenius_irreducible(n, pool, indices)
     asserted = swan.residue_parity(n) == EVEN
     found = []
-    if asserted:
-        flags = format(irreducible, f"0{len(indices)}b")[::-1]
-        for s, flag in zip(indices, flags):
-            if flag == "1":
-                mids = [m for t, m in enumerate(pool[1:]) if s >> t & 1]
-                if s.bit_count() % 2 == 0:
-                    mids.append(pool[0])
-                found.append(gf2poly.from_exponents((n, *mids, 0)))
+    rest = irreducible if asserted else 0
+    while rest:
+        s = indices[(rest & -rest).bit_length() - 1]
+        rest &= rest - 1
+        mids = [m for t, m in enumerate(pool[1:]) if s >> t & 1]
+        if s.bit_count() % 2 == 0:
+            mids.append(pool[0])
+        found.append(gf2poly.from_exponents((n, *mids, 0)))
     # subset size, then descending lexicographic, as _middle_tuples yields them;
     # among supports of one size that is descending order of the ints
     found.sort(key=lambda f: (f.bit_count(), -f))

@@ -203,9 +203,9 @@ def _zero_lane(screen, f: int) -> bool:
 
 
 def _slice_sums(screen) -> list[int]:
-    """Residues of the sum of x^(2t+3) + x over t in s, for every s < 2^10."""
+    """Residues of the sum of x^(2t+3) + x over t in s, for every s < 2^_LOW."""
     sums = [0]
-    for t in range(10):
+    for t in range(search._LOW):
         flip = screen.powers[2 * t + 3] ^ screen.powers[1]
         sums += [r ^ flip for r in sums]
     return sums
@@ -213,7 +213,7 @@ def _slice_sums(screen) -> list[int]:
 
 def test_sliced_screen_is_exact_per_lane():
     screen = _LaneScreen(64)
-    screen.grow(10)
+    screen.grow(search._LOW)
     sums = _slice_sums(screen)
     # the residue bits of each lane: its top deg q bits
     masks = [0xFF << (8 - d) & 0xFF for d in screen.degrees]
@@ -228,7 +228,7 @@ def test_sliced_screen_is_exact_per_lane():
             base = int.from_bytes(bytes(v & m for v, m in zip(tiled, masks)), "little")
             for in_use in (69, screen.lanes(5)):
                 alive = screen.alive(base, in_use)
-                assert alive >> 1024 == 0
+                assert alive >> len(sums) == 0
                 for s, r in enumerate(sums):
                     lanes = (base ^ r).to_bytes(69, "little")[:in_use]
                     assert alive >> s & 1 == (0 not in lanes), (pattern, shift, in_use, s)
@@ -385,9 +385,10 @@ def test_audit_survivors_match_trial_division():
                 want.append(f)
         assert sorted(got) == sorted(want), n
     rng = random.Random(2105)
-    for n in (71, 89, 99, 123):
+    # below, at and above the slice width: only the indices above it walk
+    for n, side in ((71, -1), (79, 0), (85, 1), (89, 1), (99, 1), (123, 1)):
         k = len(_audit_pool(n)) - 1
-        assert k > 10  # the high indices walk
+        assert (k > search._LOW) - (k < search._LOW) == side, n
         indices = _audit_survivors(n)
         assert all(s >> k == 0 for s in indices)
         kept = set(indices)
@@ -396,6 +397,42 @@ def test_audit_survivors_match_trial_division():
             assert _screen_oracle(_survivor_poly(n, s)), (n, s)
         for s in rng.sample(range(1 << k), 25):
             assert (s in kept) == _screen_oracle(_survivor_poly(n, s)), (n, s)
+
+
+def test_audit_survivors_in_either_growth_order():
+    # the degrees share one screen: n = 35 grows it to 5 index bits and
+    # n = 99 to _LOW, and the complement pairs must follow the rows
+    got = {}
+    for order in ((35, 99), (99, 35)):
+        search._screen_for_cap.cache_clear()
+        got[order] = {n: list(_audit_survivors(n)) for n in order}
+    assert got[(35, 99)] == got[(99, 35)]
+    survivors = got[(35, 99)]
+    assert survivors[35] == [s for s in range(1 << 5) if _screen_oracle(_survivor_poly(35, s))]
+    kept = set(survivors[99])
+    rng = random.Random(2311)
+    for s in rng.sample(survivors[99], 40) + rng.sample(range(1 << 15), 200):
+        assert (s in kept) == _screen_oracle(_survivor_poly(99, s)), s
+
+
+def test_audit_sparse_violations_across_the_walk(monkeypatch):
+    # every 7th survivor counts as irreducible, at asserted degrees whose
+    # survivors come from several screen passes
+    monkeypatch.setattr(search, "_frobenius_irreducible",
+                        lambda n, pool, codes: sum(1 << c for c in range(0, len(codes), 7)))
+    for n in (85, 91):
+        assert len(_audit_pool(n)) - 1 > search._LOW
+        chosen = {_survivor_poly(n, s) for s in _audit_survivors(n)[::7]}
+        q = SearchQuery(n_lo=n, n_hi=n, shape="any-support", exponents="odd-only",
+                        m1_bound="below-n-over-3")
+        want = [format_poly(f) for f in map(from_exponents, ((n, *mids, 0)
+                                                             for mids in _middle_tuples(q, n)))
+                if f in chosen]
+        assert len(want) == len(chosen) > 100
+        row = corollary_audit(n, n).rows[0]
+        assert row.asserted
+        assert row.violations == tuple(want), n
+        assert row.irreducible == len(want)
 
 
 def _frobenius_fixes_x(f: int, steps: int) -> bool:
@@ -512,6 +549,14 @@ def test_pool_size_clamps(monkeypatch):
     assert pool_size(2, 0) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert pool_size(8, 10) == 1
+
+    def no_cpu_count():
+        raise AssertionError("one worker needs no CPU count")
+
+    monkeypatch.setattr("os.cpu_count", no_cpu_count)
+    assert pool_size(1, 10) == 1
+    assert pool_size(4, 1) == 1
+    assert pool_size(4, 0) == 1
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             pool_size(jobs, 10)
