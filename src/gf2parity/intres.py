@@ -186,8 +186,17 @@ def resultant_mod8(f_terms, g_terms) -> int:
 # the first thirteen primes: as Miller-Rabin bases they decide primality
 # exactly below 3.3e24 (Sorenson and Webster, Math. Comp. 2017), so below 2^81
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# the primes below 2^81, largest first, found as needed past the two most used
-_PRIMES = [(1 << 81) - 51, (1 << 81) - 63]
+# the primes below 2^81, largest first: stored as offsets from 2^81 up to the
+# 109th, the most a discriminant up to MAX_DEGREE needs (the all-ones
+# polynomial of degree 511), and found as needed past it
+_PRIMES = [(1 << 81) - d for d in (
+    51, 63, 163, 205, 333, 349, 429, 433, 481, 553, 625, 661, 685, 795, 885, 909, 933, 1033, 1053,
+    1083, 1155, 1221, 1255, 1269, 1341, 1371, 1389, 1449, 1501, 1533, 1593, 1621, 1749, 1761, 1783,
+    1789, 1803, 1815, 1875, 1941, 1959, 1969, 1995, 2043, 2061, 2065, 2071, 2173, 2223, 2245, 2379,
+    2485, 2515, 2539, 2593, 2611, 2665, 2673, 2701, 2835, 2863, 2935, 2959, 2985, 2989, 3103, 3189,
+    3339, 3393, 3481, 3519, 3523, 3559, 3561, 3565, 3601, 3675, 3741, 3813, 3831, 3859, 3915, 3999,
+    4029, 4045, 4119, 4135, 4161, 4279, 4333, 4401, 4423, 4515, 4573, 4599, 4701, 4729, 4833, 4903,
+    4909, 5001, 5005, 5031, 5043, 5229, 5245, 5305, 5409, 5505)]
 
 
 def _is_prime(n: int) -> bool:

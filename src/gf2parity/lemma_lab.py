@@ -500,10 +500,16 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
     D cycles sizes 2..8 unless m pins it; L1 cycles (n, s) over the
     standard pairs unless both are pinned; L2 draws 0 <= m < n with
     m + n <= 12 unless both are pinned; GENERAL cycles odd degrees 5, 7,
-    9, 11 unless n pins it. Pins are refused above MAX_DEGREE, then when
-    they are not the lemma's whole set of pins (see _PINS), then where
-    the matrix side exceeds MAX_SIDE.
+    9, 11 unless n pins it. Bad pins are refused first; see _check_pins.
     """
+    _check_pins(lemma_id, n, s, m)
+    return _scheduled_instance(lemma_id, campaign_seed, index, n, s, m)
+
+
+def _check_pins(lemma_id: str, n: int | None, s: int | None, m: int | None) -> None:
+    """Refuse an unknown lemma id, then pins above MAX_DEGREE, then pins that are
+    not the lemma's whole set of pins (see _PINS), then pinned sizes whose matrix
+    side exceeds MAX_SIDE, then pinned sizes the lemma's generator refuses."""
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id '{lemma_id}'")
     pins = {k: v for k, v in (("n", n), ("s", s), ("m", m)) if v is not None}
@@ -512,24 +518,33 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
     if pins and set(pins) != set(_PINS[lemma_id]):
         raise ValueError(f"{lemma_id} is pinned by all of {{{', '.join(_PINS[lemma_id])}}} "
                          f"or none, got {{{', '.join(sorted(pins))}}}")
+    if not pins:
+        return
+    _check_side(lemma_id, 2 * n - 4 if lemma_id == "GENERAL" else sum(pins.values()))
+    if lemma_id == "D" and m < 1:
+        raise ValueError("size must be at least 1")
+    if lemma_id in ("L1a", "L1b") and (n <= 1 or s < 1):
+        raise ValueError("needs n > 1 and s >= 1")
+    if lemma_id == "L2" and not 0 <= m < n:
+        raise ValueError("needs 0 <= m < n")
+    if lemma_id == "GENERAL":
+        _general_sizes(n)
+
+
+def _scheduled_instance(lemma_id: str, campaign_seed: int, index: int,
+                        n: int | None, s: int | None, m: int | None) -> LemmaInstance:
+    """build_instance's draw, for pins that _check_pins has passed."""
     seed = instance_seed(campaign_seed, lemma_id, index)
     if lemma_id == "D":
-        size = m if m is not None else 2 + index % 7
-        _check_side(lemma_id, size)
-        return gen_d_instance(seed, size)
-    if lemma_id in ("L1a", "L1b"):
-        if n is None:
-            n, s = _L1_PAIRS[index % len(_L1_PAIRS)]
-        _check_side(lemma_id, n + s)
-        return gen_l1_instance(seed, "a" if lemma_id == "L1a" else "b", n, s)
+        return gen_d_instance(seed, 2 + index % 7 if m is None else m)
     if lemma_id == "L2":
-        if n is not None:
-            _check_side(lemma_id, m + n)
         return gen_l2_matrix(seed, m, n)
+    if lemma_id == "GENERAL":
+        n = _GENERAL_DEGREES[index % len(_GENERAL_DEGREES)] if n is None else n
+        return gen_general_matrix(seed, n)
     if n is None:
-        n = _GENERAL_DEGREES[index % len(_GENERAL_DEGREES)]
-    _check_side(lemma_id, 2 * n - 4)
-    return gen_general_matrix(seed, n)
+        n, s = _L1_PAIRS[index % len(_L1_PAIRS)]
+    return gen_l1_instance(seed, "a" if lemma_id == "L1a" else "b", n, s)
 
 
 class FuzzResult:
@@ -556,6 +571,7 @@ def run_fuzz(lemma_id: str, trials: int, campaign_seed: int, *,
     """
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
+    _check_pins(lemma_id, n, s, m)
     workers = pool_size(jobs, trials)
     bounds = [(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
     tasks = [(lemma_id, campaign_seed, lo, hi, n, s, m) for lo, hi in bounds]
@@ -568,11 +584,12 @@ def run_fuzz(lemma_id: str, trials: int, campaign_seed: int, *,
 
 
 def _fuzz_chunk(args) -> int | None:
-    """Index of the first failed conclusion in trials start..stop-1, or None."""
+    """Index of the first failed conclusion in trials start..stop-1, or None;
+    run_fuzz has checked the pins."""
     lemma_id, campaign_seed, start, stop, n, s, m = args
     check = _CHECKERS[lemma_id]
     for index in range(start, stop):
-        if not check(build_instance(lemma_id, campaign_seed, index, n=n, s=s, m=m)):
+        if not check(_scheduled_instance(lemma_id, campaign_seed, index, n, s, m)):
             return index
     return None
 

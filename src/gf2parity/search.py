@@ -340,7 +340,11 @@ def _frobenius_irreducible(n: int, pool, indices: array) -> int:
     a[i] is the coefficient of x^i in x^(2^s) mod f_c after s squarings.
     f_c passes when x^(2^n) = x and x^(2^(n/p)) != x for every prime
     p | n. That is exact only for the audit's survivors; see
-    _audit_one_degree. n and the pool exponents must be odd.
+    _audit_one_degree. n and the pool exponents must be odd. A squaring
+    folds in place, a[i] standing for x^(2i): for i from n - 1 down to h =
+    (n + 1) / 2, x^(2i) = x^(2i-n) (1 + the middle terms x^m) xors a[i] into
+    a[i - (n-m)/2] under m's mask and leaves it as the only term at the odd
+    place 2i - n; a[:h] and a[h:] then interleave as the even and odd places.
     """
     if not indices:
         return 0
@@ -354,24 +358,18 @@ def _frobenius_irreducible(n: int, pool, indices: array) -> int:
         masks.append((m, int(cols[t >> 3].translate(_BIT[t & 7]), 2)))
         odd ^= masks[-1][1]
     masks.append((pool[0], (1 << len(indices)) - 1 ^ odd))  # the even-weight indices
+    h = (n + 1) // 2
+    folds = [(i, [(i - (n - m) // 2, p) for m, p in masks]) for i in range(n - 1, h - 1, -1)]
     checks = {n // p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
     a = [0] * n
     a[1] = (1 << len(indices)) - 1
     early = 0
     for step in range(1, n + 1):
-        # squaring moves x^i to x^2i; x^k for k >= n is x^(k-n) times
-        # x^n = 1 + the middle terms of f_c. With n and every m odd, only
-        # even k >= n ever hold a term.
-        b = [0] * (2 * n - 1)
-        b[::2] = a
-        for k in range(2 * n - 2, n, -2):
-            v = b[k]
-            if v:
-                b[k - n] ^= v
-                for m, p in masks:
-                    b[k - n + m] ^= v & p
-        del b[n:]
-        a = b
+        for i, targets in folds:
+            if v := a[i]:
+                for j, p in targets:
+                    a[j] ^= v & p
+        a[::2], a[1::2] = a[:h], a[h:]
         if step in checks:
             early |= _equals_x(a)
     return _equals_x(a) & ~early

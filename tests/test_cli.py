@@ -343,6 +343,24 @@ def test_lemma_fuzz_lone_or_unused_pins_refused(capsys, args, pins):
     assert run(capsys, [*FUZZ, *args]) == (1, "", f"error: {pins}\n")
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--lemma", "l1a", "--n", "9999", "--s", "1"],
+     f"degree 9999 is above the maximum of {MAX_DEGREE}"),
+    (["--lemma", "l1a", "--n", "5"], "L1a is pinned by all of {n, s} or none, got {n}"),
+    (["--lemma", "d", "--m", "500"],
+     f"D instance has matrix side 500, above the maximum of {MAX_SIDE}"),
+    (["--lemma", "d", "--m", "0"], "size must be at least 1"),
+    (["--lemma", "general", "--n", "4"], "needs odd n >= 5"),
+    (["--lemma", "l2", "--m", "5", "--n", "3"], "needs 0 <= m < n"),
+    (["--lemma", "l1b", "--n", "1", "--s", "1"], "needs n > 1 and s >= 1"),
+])
+def test_lemma_fuzz_bad_pins_refused_at_zero_trials(capsys, args, error):
+    # zero trials once drew no instance, so no check ran and the campaign printed ok
+    for trials in ("0", "1"):
+        assert run(capsys, ["lemma-fuzz", "--trials", trials, "--seed", "1", *args]) == (
+            1, "", f"error: {error}\n"), trials
+
+
 def _replay_args(tmp_path, data):
     path = tmp_path / "replay.json"
     path.write_text(json.dumps(data))

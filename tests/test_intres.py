@@ -1,5 +1,6 @@
 """Exact determinants, modular and mod-8 resultants, discriminants."""
 
+import importlib.util
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gf2parity import intres
-from gf2parity.gf2poly import exponents, format_poly, from_exponents, is_squarefree
+from gf2parity.gf2poly import MAX_DEGREE, exponents, format_poly, from_exponents, is_squarefree
 from gf2parity.intres import (
     IntMatrix,
     det_exact,
@@ -451,12 +452,26 @@ def test_padding_invariance():
 
 # -- the modular exact resultant against the Bareiss oracle ----------------------
 
+def _stored_primes() -> list[int]:
+    """intres._PRIMES as stored, before any search has grown it."""
+    spec = importlib.util.spec_from_file_location("stored_intres", intres.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    return fresh._PRIMES
+
+
 def test_primes_are_the_consecutive_primes_below_2_81():
     sympy = pytest.importorskip("sympy")
+    stored = _stored_primes()
     p = 1 << 81
-    for k in range(24):
+    for k in range(len(stored) + 3):  # the stored table, then three found past it
         p = sympy.prevprime(p)
         assert intres._prime(k) == p, k
+    assert stored == intres._PRIMES[:len(stored)]
+    # the 13-base test passes every stored prime and no odd number between them
+    assert all(map(intres._is_prime, stored))
+    between = set(range((1 << 81) - 1, stored[-1], -2)) - set(stored)
+    assert len(between) > 2500 and not any(map(intres._is_prime, between))
     rng = random.Random(137)
     # odd numbers near 2^81 and below, and strong pseudoprimes to several bases:
     # the last, psi_12, passes Miller-Rabin on each of the twelve primes up to 37
@@ -465,6 +480,20 @@ def test_primes_are_the_consecutive_primes_below_2_81():
               3825123056546413051, 318665857834031151167461]
     for n in cases:
         assert intres._is_prime(n) == sympy.isprime(n), n
+
+
+def test_stored_primes_cover_every_discriminant_up_to_the_degree_cap(monkeypatch):
+    # a lift has coefficients 0 and 1, so the all-ones polynomial has the
+    # largest bound |f|^m |f'|^n at a degree; at MAX_DEGREE it takes every
+    # stored prime and no search past them
+    stored = _stored_primes()
+    used = []
+    monkeypatch.setattr(intres, "_PRIMES", list(stored))
+    monkeypatch.setattr(intres, "_is_prime", lambda n: pytest.fail("searched past the table"))
+    monkeypatch.setattr(intres, "_resultant_mod_p", lambda a, b, p: used.append(p) or 1)
+    intres.discriminant_int([1] * (MAX_DEGREE + 1))
+    assert used == stored and len(stored) == 109
+    assert stored[-1] == (1 << 81) - 5505
 
 
 def test_resultant_skips_primes_dividing_the_leading_coefficients(monkeypatch):

@@ -543,6 +543,35 @@ def test_run_fuzz_pinned_parameters():
     assert result.ok
 
 
+@pytest.mark.parametrize("lemma, pins", [
+    ("D", {}), ("D", {"m": 5}), ("L1a", {}), ("L1b", {"n": 9, "s": 2}), ("L2", {}),
+    ("L2", {"m": 2, "n": 6}), ("GENERAL", {}), ("GENERAL", {"n": 13}),
+])
+def test_run_fuzz_draws_build_instances(monkeypatch, lemma, pins):
+    # the campaign checks its pins once and then draws each trial unchecked
+    seen = []
+    monkeypatch.setitem(lemma_lab._CHECKERS, lemma, lambda inst: seen.append(inst) or True)
+    assert run_fuzz(lemma, 9, 43, **pins).checked == 9
+    assert seen == [build_instance(lemma, 43, i, **pins) for i in range(9)]
+
+
+@pytest.mark.parametrize("lemma, pins, draw", [
+    ("D", {"m": 0}, lambda: gen_d_instance(0, 0)),
+    ("L1a", {"n": 1, "s": 1}, lambda: gen_l1_instance(0, "a", 1, 1)),
+    ("L1b", {"n": 5, "s": 0}, lambda: gen_l1_instance(0, "b", 5, 0)),
+    ("L2", {"m": 5, "n": 3}, lambda: gen_l2_matrix(0, 5, 3)),
+    ("GENERAL", {"n": 8}, lambda: gen_general_matrix(0, 8)),
+])
+def test_pins_refused_as_the_generator_refuses(lemma, pins, draw):
+    # a campaign refuses these before its first trial, in the generator's words
+    with pytest.raises(ValueError) as direct:
+        draw()
+    for refuse in (run_fuzz, build_instance):
+        with pytest.raises(ValueError) as pinned:
+            refuse(lemma, 0, 1, **pins)
+        assert str(pinned.value) == str(direct.value), refuse
+
+
 def test_run_fuzz_reports_first_failure(monkeypatch):
     bad = {instance_seed(5, "D", i) for i in (12, 7)}
     monkeypatch.setitem(lemma_lab._CHECKERS, "D", lambda inst: inst.seed not in bad)

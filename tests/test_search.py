@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import time
+from array import array
 
 import pytest
 
@@ -444,19 +445,36 @@ def _frobenius_fixes_x(f: int, steps: int) -> bool:
 
 
 def test_frobenius_verdict_matches_is_irreducible():
-    for n in (27, 45, 53, 63, 81):
+    # the pool of n = 5, 7 and 9 is the single exponent 1
+    for n in (5, 7, 9, 27, 45, 53, 63, 81):
         codes = _audit_survivors(n)
         verdict = _frobenius_irreducible(n, _audit_pool(n), codes)
         assert verdict >> len(codes) == 0
         for c, code in enumerate(codes):
             f = _survivor_poly(n, code)
             assert verdict >> c & 1 == is_irreducible(f), (n, format_poly(f))
+    # x^5 + x + 1 is screened out by x^2 + x + 1; at a prime n the test is
+    # exact on any candidate
+    assert _frobenius_irreducible(5, _audit_pool(5), array("I", [0])) == 0
+    assert _frobenius_irreducible(7, _audit_pool(7), array("I", [0])) == 1
     # survivors that pass at step n but are reducible: only the steps n/p
     # (here 21 and 9) reject them
     passers = [code for code in _audit_survivors(63)
                if _frobenius_fixes_x(_survivor_poly(63, code), 63)]
     reducible = [code for code in passers if not is_irreducible(_survivor_poly(63, code))]
     assert len(reducible) == 2
+
+
+def test_frobenius_verdict_on_a_sample_at_high_degree():
+    rng = random.Random(8997)
+    for n in (89, 97):
+        codes = _audit_survivors(n)
+        verdict = _frobenius_irreducible(n, _audit_pool(n), codes)
+        sample = rng.sample(range(len(codes)), 150)
+        for c in sample:
+            f = _survivor_poly(n, codes[c])
+            assert verdict >> c & 1 == is_irreducible(f), (n, format_poly(f))
+        assert 0 < sum(verdict >> c & 1 for c in sample) < len(sample)
 
 
 def _mixed_split(n: int) -> bool:
