@@ -278,23 +278,18 @@ def trace_spectrum(f: int) -> tuple[int, ...]:
 
     With c_j the coefficient of x^(n-j), the power sums mod 2 satisfy
     p_k = sum_{j<k} c_j p_{k-j} + k c_k mod 2 and p_0 = n mod 2; the trace
-    of alpha^i is p_i. Indices k > n-1 are never produced.
+    of alpha^i is p_i. Bit j of c is c_j and bit j of q is p_(k-j), so the
+    sum is the parity of the bits of c & q below k.
     """
     if f < 2 or not is_irreducible(f):
         raise ValueError("trace spectrum requires an irreducible polynomial")
     n = f.bit_length() - 1
-    c = [0] * (n + 1)
-    for e in exponents(f):
-        if e < n:
-            c[n - e] = 1
-    p = [0] * n
-    p[0] = n & 1
+    c = int(bin(f)[:1:-1], 2)  # f with its bits reversed
+    p = [n & 1]
+    q = p[0] << 1
     for k in range(1, n):
-        acc = k & 1 if c[k] else 0
-        for j in range(1, k):
-            if c[j]:
-                acc ^= p[k - j]
-        p[k] = acc
+        p.append(((c & q & (1 << k) - 1).bit_count() + (k & c >> k)) & 1)
+        q = (q | p[k]) << 1
     return tuple(p)
 
 

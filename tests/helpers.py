@@ -119,6 +119,22 @@ def oracle_trace(bits: int, i: int) -> int:
     return acc
 
 
+def trace_spectrum_loop(f: int) -> tuple[int, ...]:
+    """Newton's power sums p_0..p_(n-1) mod 2 of f, by the quadratic loop:
+    p_k = sum_{j<k} c_j p_{k-j} + k c_k, c_j the coefficient of x^(n-j)."""
+    n = f.bit_length() - 1
+    c = [f >> (n - j) & 1 for j in range(n + 1)]
+    p = [0] * n
+    p[0] = n & 1
+    for k in range(1, n):
+        acc = k & 1 if c[k] else 0
+        for j in range(1, k):
+            if c[j]:
+                acc ^= p[k - j]
+        p[k] = acc
+    return tuple(p)
+
+
 def cofactor_det(rows) -> int:
     """Laplace expansion along the first row; exponential, fine to 6x6."""
     size = len(rows)

@@ -192,6 +192,12 @@ def test_audit(capsys):
     assert rows[1]["n"] == 13 and rows[1]["irreducible"] == 0
 
 
+@pytest.mark.parametrize("command", ["audit", "search"])
+def test_inverted_degree_range_refused(capsys, command):
+    rc, out, err = run(capsys, [command, "--n-lo", "9", "--n-hi", "5"])
+    assert (rc, out, err) == (1, "", "error: empty degree range\n")
+
+
 @pytest.mark.parametrize("argv, csv_header, table_header", [
     (["search", "--n-lo", "6", "--n-hi", "6", "--exponents", "odd-only"],
      "n,exponents,irreducible,am_single_trace,m1_lt_n_over_3,predicted_parity,observed_parity",

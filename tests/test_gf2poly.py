@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from gf2parity import gf2poly
 from gf2parity.gf2poly import (
     PolyParseError,
     am_condition,
@@ -336,6 +337,27 @@ def test_trace_spectrum_matches_companion_oracle():
         assert len(spec) == n
         for i in range(n):
             assert spec[i] == helpers.oracle_trace(q, i), (format_poly(q), i)
+
+
+def test_trace_spectrum_matches_the_quadratic_loop():
+    for q in irreducibles(10):
+        assert trace_spectrum(q) == helpers.trace_spectrum_loop(q), format_poly(q)
+    for text in ("x^127+x+1", "x^511+x^10+1"):
+        assert is_irreducible(P(text)), text
+        assert trace_spectrum(P(text)) == helpers.trace_spectrum_loop(P(text)), text
+
+
+def test_trace_spectrum_recurrence_on_seeded_inputs(monkeypatch):
+    # the power-sum recurrence holds for any f; only the traces need f
+    # irreducible, so the check is lifted to reach large degrees cheaply
+    monkeypatch.setattr(gf2poly, "is_irreducible", lambda f: True)
+    rng = random.Random(2525)
+    for n in (127, 255, 511):
+        for i in range(20):
+            # dense draws, and pentanomials with exponents anywhere
+            mids = rng.getrandbits(n) if i % 2 else sum(1 << e for e in rng.sample(range(1, n), 3))
+            f = 1 << n | mids | 1
+            assert trace_spectrum(f) == helpers.trace_spectrum_loop(f), (n, i)
 
 
 def test_am_condition_examples():

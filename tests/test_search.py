@@ -26,6 +26,8 @@ from gf2parity.search import (
     _audit_pool,
     _audit_survivors,
     _candidate_count,
+    _frobenius_by_roots,
+    _frobenius_by_squares,
     _frobenius_irreducible,
     _middle_tuples,
     corollary_audit,
@@ -307,6 +309,12 @@ def test_audit_example_degrees():
     assert rep.ok
 
 
+def test_audit_refuses_an_inverted_range():
+    with pytest.raises(ValueError, match="empty degree range"):
+        corollary_audit(9, 5)
+    assert corollary_audit(4, 4).rows == []  # a range with no odd n >= 5
+
+
 def test_audit_reporting_arm_n7():
     rep = corollary_audit(7, 7)
     row = rep.rows[0]
@@ -475,6 +483,56 @@ def test_frobenius_verdict_on_a_sample_at_high_degree():
             f = _survivor_poly(n, codes[c])
             assert verdict >> c & 1 == is_irreducible(f), (n, format_poly(f))
         assert 0 < sum(verdict >> c & 1 for c in sample) < len(sample)
+
+
+def test_frobenius_kernels_agree_on_every_degree():
+    # the roots decide every degree up to n = 75 (at most 552 survivors) and
+    # the squares from n = 77; here each decides all of them
+    for n in range(5, 88, 2):
+        pool, codes = _audit_pool(n), _audit_survivors(n)
+        if codes:
+            assert _frobenius_by_roots(n, pool, codes) == _frobenius_by_squares(n, pool, codes), n
+
+
+def test_frobenius_kernels_agree_at_the_switch(monkeypatch):
+    for n in (89, 123):
+        pool, codes = _audit_pool(n), _audit_survivors(n)
+        for k in (search._ROOTS_BELOW - 1, search._ROOTS_BELOW):
+            # spread over the whole walk, so that every pool mask is mixed
+            part = codes[::len(codes) // k][:k]
+            assert len(part) == k
+            verdict = _frobenius_by_roots(n, pool, part)
+            assert verdict == _frobenius_by_squares(n, pool, part), (n, k)
+            # n = 123 = 3 mod 8 has no irreducible candidate at all
+            assert (0 < verdict.bit_count() < k) if n == 89 else verdict == 0
+    monkeypatch.setattr(search, "_frobenius_by_roots", lambda n, pool, codes: "roots")
+    monkeypatch.setattr(search, "_frobenius_by_squares", lambda n, pool, codes: "squares")
+    codes = _audit_survivors(89)
+    assert _frobenius_irreducible(89, _audit_pool(89), codes[:1023]) == "roots"
+    assert _frobenius_irreducible(89, _audit_pool(89), codes[:1024]) == "squares"
+
+
+def test_frobenius_roots_on_the_hard_cases():
+    assert _frobenius_by_roots(5, _audit_pool(5), array("I", [0])) == 0
+    assert _frobenius_by_roots(7, _audit_pool(7), array("I", [0])) == 1
+    # the two reducible survivors of n = 63 with x^(2^63) = x: only the
+    # early checks at steps 21 and 9 reject them
+    pool = _audit_pool(63)
+    passers = array("I", [code for code in _audit_survivors(63)
+                          if _frobenius_fixes_x(_survivor_poly(63, code), 63)])
+    verdict = _frobenius_by_roots(63, pool, passers)
+    want = [is_irreducible(_survivor_poly(63, code)) for code in passers]
+    assert [verdict >> c & 1 == 1 for c in range(len(passers))] == want
+    assert want.count(False) == 2
+
+
+def test_packed_equals_x_reads_every_field():
+    x = 0b11 << 8  # two candidates, both at x, in fields of 8 bits
+    for n in (3, 5, 55, 63, 89):
+        assert search._packed_equals_x(x, n, 8, 0b11) == 0b11
+        for i in range(n):
+            # candidate 1 differs from x in field i alone
+            assert search._packed_equals_x(x ^ 0b10 << 8 * i, n, 8, 0b11) == 0b01, (n, i)
 
 
 def _mixed_split(n: int) -> bool:
