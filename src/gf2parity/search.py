@@ -19,7 +19,10 @@ ints screens 2^12 candidates, one per bit, and the larger exponents are
 walked in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1). The survivors are
 decided together by one Rabin test (Rabin, SIAM J. Comput. 1980) per
 degree, bitsliced the same way; for these candidates and degrees it is
-exact. Violations are reported in the enumeration order above.
+exact. Each candidate is 1 + x T^2, so x has the sparse square root x T:
+few survivors take the test by square roots on one packed int, many by
+squarings on one int per coefficient. Violations are reported in the
+enumeration order above.
 
 Scan and audit refuse, before any work, a degree with more than
 MAX_CANDIDATES_PER_DEGREE candidates; scan, which holds every record,

@@ -507,9 +507,9 @@ def test_frobenius_kernels_agree_at_the_switch(monkeypatch):
             assert (0 < verdict.bit_count() < k) if n == 89 else verdict == 0
     monkeypatch.setattr(search, "_frobenius_by_roots", lambda n, pool, codes: "roots")
     monkeypatch.setattr(search, "_frobenius_by_squares", lambda n, pool, codes: "squares")
-    codes = _audit_survivors(89)
-    assert _frobenius_irreducible(89, _audit_pool(89), codes[:1023]) == "roots"
-    assert _frobenius_irreducible(89, _audit_pool(89), codes[:1024]) == "squares"
+    codes = _audit_survivors(89)[:search._ROOTS_BELOW]
+    assert _frobenius_irreducible(89, _audit_pool(89), codes[:-1]) == "roots"
+    assert _frobenius_irreducible(89, _audit_pool(89), codes) == "squares"
 
 
 def test_frobenius_roots_on_the_hard_cases():
