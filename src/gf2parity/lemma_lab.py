@@ -28,7 +28,7 @@ generators and checkers.
 Matrices are intres.IntMatrix with entries in 0..7 and polynomials are
 tuples of coefficients in COEFFS, lowest first. Checks end in exact
 arithmetic independent of the mod-8 path: intres.det_exact for matrices
-and the modular intres.resultant for L1. A slot of two or more residues
+and intres.resultant for L1. A slot of two or more residues
 is {0, r, 2r, ...}: it gives 0 half the time, so that sparse and dense
 instances both occur, and else a uniform nonzero residue. An instance is one
 read of the shake_128 stream of its seed (_shake_bits), a byte per slot, mapped
@@ -95,7 +95,8 @@ class LemmaInstance:
     def from_json(cls, data) -> LemmaInstance:
         """Read back a replay file's object, which is outside input: a lemma id, an
         integer seed, the integer sizes its checker reads, held to MAX_DEGREE and
-        MAX_SIDE, entries in 0..7 and coefficients in COEFFS, or ValueError."""
+        MAX_SIDE, entries in 0..7, coefficients in COEFFS and string notes, or
+        ValueError."""
         if not (isinstance(data, dict) and isinstance(data.get("params"), dict)
                 and type(data.get("seed")) is int):
             raise ValueError("a replay is an object with lemma_id, params and an integer seed")
@@ -119,9 +120,11 @@ class LemmaInstance:
                 isinstance(v, list) and all(type(c) is int and c in COEFFS for c in v)
                 for v in polys.values())):
             raise ValueError("the replay polys must be lists of integer coefficients in -4..3")
+        if not isinstance(notes := data.get("notes", ""), str):
+            raise ValueError("the replay notes must be a string")
         return cls(lemma_id, dict(params), data["seed"],
                    IntMatrix(rows) if "matrix" in data else None,
-                   {k: tuple(v) for k, v in polys.items()}, data.get("notes", ""))
+                   {k: tuple(v) for k, v in polys.items()}, notes)
 
 
 def _shake_bits(seed: int):
@@ -476,7 +479,8 @@ _GENERAL_DEGREES = (5, 7, 9, 11)
 # the largest matrix a campaign checks, as its side: the matrix for D, L2
 # and GENERAL, whose det_exact takes at most about 2.5 s at side 200 (D;
 # L2 0.8 s, GENERAL 0.5 s) and grows as the cube of the side, and n + s for
-# L1, whose resultant takes at most about 0.11 s at n + s = 200 and builds no matrix.
+# L1, whose resultant takes at most about 0.03 s at n + s = 200 (s from 50 to
+# 130; 0.3 ms at s = 1 or n = 2) and builds no matrix.
 MAX_SIDE = 200
 
 

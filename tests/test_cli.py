@@ -402,6 +402,16 @@ def test_lemma_fuzz_replay_with_a_non_integer_entry_refused(tmp_path, capsys):
         1, "", "error: the replay matrix must be rows of integers in 0..7\n")
 
 
+@pytest.mark.parametrize("notes", [{"x": [1, 2]}, 7, None, ["a"]])
+def test_lemma_fuzz_replay_with_non_string_notes_refused(tmp_path, capsys, notes):
+    # write_replay once wrote such notes back as they came
+    data = gen_l1_instance(3, "a", 12, 3).to_json()
+    data["notes"] = notes
+    args = _replay_args(tmp_path, data)
+    args[2] = "l1a"
+    assert run(capsys, args) == (1, "", "error: the replay notes must be a string\n")
+
+
 @pytest.mark.parametrize("digits", [4, 1000, 4000])
 def test_lemma_fuzz_replay_with_huge_coefficients_refused(tmp_path, digits):
     # an L1a replay far below MAX_SIDE with coefficients of thousands of

@@ -1,6 +1,5 @@
-"""Exact determinants, modular and mod-8 resultants, discriminants."""
+"""Exact determinants, exact and mod-8 resultants, discriminants."""
 
-import importlib.util
 import math
 import random
 
@@ -450,68 +449,110 @@ def test_padding_invariance():
             assert resultant(f, padded) == base
 
 
-# -- the modular exact resultant against the Bareiss oracle ----------------------
+# -- the exact resultant against the Bareiss oracle -----------------------------
 
-def _stored_primes() -> list[int]:
-    """intres._PRIMES as stored, before any search has grown it."""
-    spec = importlib.util.spec_from_file_location("stored_intres", intres.__file__)
-    fresh = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fresh)
-    return fresh._PRIMES
-
-
-def test_primes_are_the_consecutive_primes_below_2_81():
-    sympy = pytest.importorskip("sympy")
-    stored = _stored_primes()
-    p = 1 << 81
-    for k in range(len(stored) + 3):  # the stored table, then three found past it
-        p = sympy.prevprime(p)
-        assert intres._prime(k) == p, k
-    assert stored == intres._PRIMES[:len(stored)]
-    # the 13-base test passes every stored prime and no odd number between them
-    assert all(map(intres._is_prime, stored))
-    between = set(range((1 << 81) - 1, stored[-1], -2)) - set(stored)
-    assert len(between) > 2500 and not any(map(intres._is_prime, between))
-    rng = random.Random(137)
-    # odd numbers near 2^81 and below, and strong pseudoprimes to several bases:
-    # the last, psi_12, passes Miller-Rabin on each of the twelve primes up to 37
-    cases = [rng.randrange(43, 1 << 81) | 1 for _ in range(3000)] + list(range(43, 20000, 2))
-    cases += [3215031751, 2152302898747, 3474749660383, 341550071728321,
-              3825123056546413051, 318665857834031151167461]
-    for n in cases:
-        assert intres._is_prime(n) == sympy.isprime(n), n
+def test_discriminant_of_the_all_ones_polynomial_up_to_the_degree_cap():
+    # 1 + x + ... + x^n = (x^(n+1) - 1) / (x - 1), whose discriminant is
+    # (-1)^(n(n-1)/2) (n+1)^(n-1): at MAX_DEGREE the largest Hadamard bound
+    # |f|^m |f'|^n of any 0/1 lift
+    for n in (*range(2, 19), 255, MAX_DEGREE):
+        want = (-1) ** (n * (n - 1) // 2) * (n + 1) ** (n - 1)
+        assert intres.discriminant_int([1] * (n + 1)) == want, n
 
 
-def test_stored_primes_cover_every_discriminant_up_to_the_degree_cap(monkeypatch):
-    # a lift has coefficients 0 and 1, so the all-ones polynomial has the
-    # largest bound |f|^m |f'|^n at a degree; at MAX_DEGREE it takes every
-    # stored prime and no search past them
-    stored = _stored_primes()
-    used = []
-    monkeypatch.setattr(intres, "_PRIMES", list(stored))
-    monkeypatch.setattr(intres, "_is_prime", lambda n: pytest.fail("searched past the table"))
-    monkeypatch.setattr(intres, "_resultant_mod_p", lambda a, b, p: used.append(p) or 1)
-    intres.discriminant_int([1] * (MAX_DEGREE + 1))
-    assert used == stored and len(stored) == 109
-    assert stored[-1] == (1 << 81) - 5505
-
-
-def test_resultant_skips_primes_dividing_the_leading_coefficients(monkeypatch):
-    # a prime that divides lc(f) lc(g) drops a degree mod p, so it is skipped
-    used = []
-    mod_p = intres._resultant_mod_p
-    monkeypatch.setattr(intres, "_resultant_mod_p",
-                        lambda a, b, p: used.append(p) or mod_p(a, b, p))
-    p0, p1 = intres._prime(0), intres._prime(1)
+def test_resultant_with_leading_coefficients_near_2_81():
+    # leading coefficients that are, or are multiples of, 2^81 - 51 and 2^81 - 63
+    p0, p1 = (1 << 81) - 51, (1 << 81) - 63
     cases = [([1, 2, p0], [3, 1]), ([5, -1, -p0], [2, 0, 1]), ([1, 1, 3 * p0], [1, p1]),
              ([-3, 1, p0 * p1], [4, -1, 1]), ([7, p0], [1, 2, 3, -p1])]
     for f, g in cases:
-        used.clear()
         assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
-        lead = f[-1] * g[-1]
-        assert used and all(lead % p for p in used), (f, g, used)
-        assert (p0 in used) == (lead % p0 != 0)
     assert resultant([1, 2, p0], [3, 1]) == p0 * 9 - 2 * 3 + 1  # f(-3)
+
+
+def test_resultant_sequence_with_a_degree_gap():
+    # remainders that drop two or three degrees: delta > 1 at the first
+    # step, then at a later step, where h is no longer 1 and becomes
+    # g^delta / h^(delta-1) (the last three), with the divisor g h^delta
+    cases = [([3, 0, -2, 1, 0, 5, 2], [1, 4, 0, -3, 7]),
+             ([1, 0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1]),
+             ([3, 0, 1, -1, 0, -1, 1, 2], [0, 0, 0, 0, 0, -2]),
+             ([3, -1, 0, 3, -1, 3, 0, 1, 2], [-2, 0, 0, 0, -2, 0, 0, 2]),
+             ([-1, -1, -1, 0, 1, 2], [0, 5, 0, 0, -2])]
+    for f, g in cases:
+        assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
+        assert resultant(g, f) == helpers.resultant_bareiss(g, f), (g, f)
+
+
+def test_resultant_zero_remainder_mid_sequence():
+    # a common factor of degree 1 or 2 ends the sequence at a zero remainder
+    # after one or more steps, with non-monic and negative leads
+    common = ([2, -3], [1, 1, 1], [-5, 0, 3])
+    for c in common:
+        for u, v in (([1, 2, -1, 4], [-3, 0, 2]), ([7, -2], [1, 1, 0, -6]),
+                     ([0, 1, 0, 0, -1], [3, -1, 2, 5, -2])):
+            f, g = helpers.poly_mul(c, u), helpers.poly_mul(c, v)
+            assert resultant(f, g) == 0 == helpers.resultant_bareiss(f, g), (f, g)
+            assert resultant(g, f) == 0, (g, f)
+
+
+def test_resultant_smaller_first_degree_with_both_odd():
+    # deg f < deg g swaps the pair, with sign (-1)^(nm) = -1 when both are odd
+    rng = random.Random(139)
+    for n, m in ((1, 3), (3, 5), (3, 7), (5, 9), (1, 11)):
+        for _ in range(20):
+            f, g = rand_int_poly(rng, n, lo=-6, hi=6), rand_int_poly(rng, m, lo=-6, hi=6)
+            assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
+            assert resultant(f, g) == -resultant(g, f), (f, g)
+
+
+def test_resultant_negative_non_monic_leads_and_constant_or_padded_g():
+    rng = random.Random(149)
+    for _ in range(60):
+        f = rand_int_poly(rng, rng.randint(1, 8), lo=-9, hi=-1)
+        g = rand_int_poly(rng, rng.randint(1, 8), lo=-9, hi=-2)
+        assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
+        assert resultant(f, [-5]) == (-5) ** (len(f) - 1) == helpers.resultant_bareiss(f, [-5])
+        monic = rand_monic(rng, rng.randint(1, 8))
+        for padded in (g + [0], g + [0, 0, 0], [-5, 0, 0]):
+            assert resultant(monic, padded) == resultant(monic, padded[:len(g)]) == (
+                helpers.resultant_bareiss(monic, padded)), (monic, padded)
+
+
+def test_resultant_two_adic_division_on_large_coefficients(monkeypatch):
+    # coefficients of hundreds of bits, with even leads, make divisors past
+    # _TWO_ADIC_BITS, whose power of 2 is shifted out before the inverse
+    rng = random.Random(151)
+    for _ in range(40):
+        bits = rng.choice((200, 400, 700))
+        f = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(2, 6))]
+        g = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(2, 6))]
+        f[-1] = f[-1] << 3 or 8
+        g[-1] = g[-1] << 1 or 2
+        want = helpers.resultant_bareiss(f, g)
+        assert resultant(f, g) == want, (f, g)
+        monkeypatch.setattr(intres, "_TWO_ADIC_BITS", 0)  # every step 2-adic
+        assert resultant(f, g) == want, (f, g)
+        monkeypatch.setattr(intres, "_TWO_ADIC_BITS", 1 << 30)  # every step by //
+        assert resultant(f, g) == want, (f, g)
+        monkeypatch.undo()
+
+
+@st.composite
+def _int_pairs(draw):
+    coeff = st.integers(-12, 12)
+    f = draw(st.lists(coeff, min_size=1, max_size=10).filter(lambda f: f[-1]))
+    g = draw(st.lists(coeff, min_size=1, max_size=10))
+    if g[-1] == 0 and f[-1] != 1:
+        g[-1] = draw(st.sampled_from((-4, -1, 2, 3)))
+    return f, g
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_int_pairs())
+def test_resultant_property_against_bareiss(pair):
+    f, g = pair
+    assert resultant(f, g) == helpers.resultant_bareiss(f, g)
 
 
 def test_resultant_zero_from_a_common_factor():
@@ -569,9 +610,8 @@ def test_resultant_matches_bareiss_oracle_on_seeded_inputs():
         f, g = rand_int_poly(rng, n), rand_int_poly(rng, m)
         assert resultant(f, g) == helpers.resultant_bareiss(f, g), (n, m)
     # orthogonal Sylvester rows: res = 1 + c^2 is the Hadamard bound itself,
-    # and near 3/4 of the first prime it needs the factor 2 in the stopping
-    # rule, since one prime would give its symmetric residue res - p
-    c = math.isqrt(3 * intres._prime(0) // 4)
+    # here near 3/4 of 2^81 - 51, past half of any 81-bit modulus
+    c = math.isqrt(3 * ((1 << 81) - 51) // 4)
     assert resultant([c, 1], [1, -c]) == helpers.resultant_bareiss([c, 1], [1, -c]) == 1 + c * c
 
 
@@ -590,7 +630,7 @@ def test_discriminant_matches_bareiss_oracle_up_to_degree_127():
                                    (511, (1, 7, 219, 350, 510))])
 def test_discriminant_int_matches_swan_on_trinomials(n, ks):
     # Swan's closed form is exact at any degree: at n = 511, |disc| has 4,598
-    # bits and the CRT joins 62 to 65 primes. k shares 85 or 51 with 255, and
+    # bits. k shares 85 or 51 with 255, and
     # 73 or 7 with 511
     for k in ks:
         f = [1] + [0] * (n - 1) + [1]
@@ -599,7 +639,7 @@ def test_discriminant_int_matches_swan_on_trinomials(n, ks):
 
 
 def test_exact_discriminant_agrees_with_the_mod8_path():
-    # the CRT path and the Hensel-split Euclid over Z/8 share nothing, and
+    # the remainder sequence over Z and the Hensel-split Euclid over Z/8 share nothing, and
     # together they reach degrees the Bareiss oracle cannot in test time
     rng = random.Random(131)
     for _ in range(6):  # f mod f' has degree below 64, which keeps each cheap

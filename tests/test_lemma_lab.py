@@ -617,6 +617,17 @@ def test_replay_round_trip(tmp_path):
     assert recheck(back)
 
 
+def test_replay_round_trip_keeps_string_notes(tmp_path):
+    inst = gen_general_matrix(instance_seed(41, "GENERAL", 3), 7)
+    path = tmp_path / "replay.json"
+    for notes in (inst.notes, "", "a note\nover two lines"):
+        inst.notes = notes
+        write_replay(path, inst)
+        assert read_replay(path) == inst
+        data = json.loads(path.read_text())
+        assert data.get("notes", "") == notes
+
+
 def test_instances_without_polys_do_not_share_a_dict():
     a, b = d_instance([[1]]), d_instance([[1]])
     assert a == b and a.polys == {}

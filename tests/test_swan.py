@@ -231,14 +231,14 @@ def test_padded_resultant_unit_and_natural_equal():
 
 def test_mod8_path_builds_no_int_poly(monkeypatch):
     # the mod-8 path reads terms off the support: no coefficient list from
-    # lift_01, no matrix, and no step of the exact modular resultant
+    # lift_01, no matrix, and no call of the exact resultant
     def refuse(*args, **kwargs):
         raise AssertionError("integer polynomial built on the mod-8 path")
 
     monkeypatch.setattr(swan, "lift_01", refuse)
     monkeypatch.setattr(intres, "IntMatrix", refuse)
     monkeypatch.setattr(intres, "det_exact", refuse)
-    monkeypatch.setattr(intres, "_resultant_mod_p", refuse)
+    monkeypatch.setattr(intres, "resultant", refuse)
     with pytest.raises(AssertionError):
         swan.lift_01(1)
     with pytest.raises(AssertionError):
