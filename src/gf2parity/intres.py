@@ -183,10 +183,25 @@ def resultant_mod8(f_terms, g_terms) -> int:
     return out
 
 
-# the divisor size from which the 2-adic exact division beats //: near 500
-# bits in the sequence of a dense degree-255 discriminant (ratio 0.83 at 250-500
-# bits, 1.05 at 500-750, 1.5 to 1.8 past 1,000)
+# the divisor size from which _divide_2adic beats //, measured on the
+# sequences of dense discriminants at degrees 127 and 255
 _TWO_ADIC_BITS = 512
+
+
+def _divide_2adic(r: list[int], d: int) -> list[int]:
+    """[c // d for c in r], for d dividing every c and some c nonzero, by the
+    inverse u of d's odd part mod 2^k, k two bits past the quotients' size
+    (Jebelean, J. Symb. Comput. 15, 1993). Newton's step u = u (2 - d u)
+    doubles the correct low bits of u."""
+    e = (d & -d).bit_length() - 1
+    k = max(c.bit_length() for c in r) - d.bit_length() + 3
+    d >>= e
+    u, bits = 1, 1
+    while bits < k:
+        bits = min(2 * bits, k)
+        u = u * (2 - (d & (1 << bits) - 1) * u) & (1 << bits) - 1
+    mask, top = (1 << k) - 1, 1 << (k - 1)
+    return [((c >> e & mask) * u & mask ^ top) - top for c in r]
 
 
 def resultant(f: list[int], g: list[int]) -> int:
@@ -199,9 +214,8 @@ def resultant(f: list[int], g: list[int]) -> int:
     Algorithm 3.3.7). For deg A - deg B = delta and l = lc(B), l^(delta+1) A
     mod B divides exactly by g h^delta; then g = l, h = g^delta / h^(delta-1),
     and two odd degrees flip the sign. A constant remainder r ends it as
-    r^deg A / h^(deg A - 1). A divisor above _TWO_ADIC_BITS bits divides by
-    its odd part's inverse mod 2^k, k past the quotients' size (Jebelean,
-    J. Symb. Comput. 15, 1993).
+    r^deg A / h^(deg A - 1). A divisor above _TWO_ADIC_BITS bits divides
+    2-adically (_divide_2adic).
     """
     if not f or not f[-1]:
         raise ValueError("the first argument needs a nonzero leading coefficient")
@@ -237,11 +251,7 @@ def resultant(f: list[int], g: list[int]) -> int:
         if not r:
             return 0
         if d.bit_length() > _TWO_ADIC_BITS:
-            e = (d & -d).bit_length() - 1
-            k = max(c.bit_length() for c in r) - d.bit_length() + 3
-            mask, top = (1 << k) - 1, 1 << (k - 1)
-            inv = pow(d >> e, -1, 1 << k)
-            r = [((c >> e & mask) * inv & mask ^ top) - top for c in r]
+            r = _divide_2adic(r, d)
         elif d != 1:
             r = [c // d for c in r]
         a, b = b, r

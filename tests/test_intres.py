@@ -446,7 +446,7 @@ def test_padding_invariance():
         base = resultant(f, g)
         for k in (1, 2, 3):
             padded = g + [0] * k
-            assert resultant(f, padded) == base
+            assert resultant(f, padded) == base == helpers.resultant_bareiss(f, padded)
 
 
 # -- the exact resultant against the Bareiss oracle -----------------------------
@@ -484,18 +484,6 @@ def test_resultant_sequence_with_a_degree_gap():
         assert resultant(g, f) == helpers.resultant_bareiss(g, f), (g, f)
 
 
-def test_resultant_zero_remainder_mid_sequence():
-    # a common factor of degree 1 or 2 ends the sequence at a zero remainder
-    # after one or more steps, with non-monic and negative leads
-    common = ([2, -3], [1, 1, 1], [-5, 0, 3])
-    for c in common:
-        for u, v in (([1, 2, -1, 4], [-3, 0, 2]), ([7, -2], [1, 1, 0, -6]),
-                     ([0, 1, 0, 0, -1], [3, -1, 2, 5, -2])):
-            f, g = helpers.poly_mul(c, u), helpers.poly_mul(c, v)
-            assert resultant(f, g) == 0 == helpers.resultant_bareiss(f, g), (f, g)
-            assert resultant(g, f) == 0, (g, f)
-
-
 def test_resultant_smaller_first_degree_with_both_odd():
     # deg f < deg g swaps the pair, with sign (-1)^(nm) = -1 when both are odd
     rng = random.Random(139)
@@ -504,19 +492,6 @@ def test_resultant_smaller_first_degree_with_both_odd():
             f, g = rand_int_poly(rng, n, lo=-6, hi=6), rand_int_poly(rng, m, lo=-6, hi=6)
             assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
             assert resultant(f, g) == -resultant(g, f), (f, g)
-
-
-def test_resultant_negative_non_monic_leads_and_constant_or_padded_g():
-    rng = random.Random(149)
-    for _ in range(60):
-        f = rand_int_poly(rng, rng.randint(1, 8), lo=-9, hi=-1)
-        g = rand_int_poly(rng, rng.randint(1, 8), lo=-9, hi=-2)
-        assert resultant(f, g) == helpers.resultant_bareiss(f, g), (f, g)
-        assert resultant(f, [-5]) == (-5) ** (len(f) - 1) == helpers.resultant_bareiss(f, [-5])
-        monic = rand_monic(rng, rng.randint(1, 8))
-        for padded in (g + [0], g + [0, 0, 0], [-5, 0, 0]):
-            assert resultant(monic, padded) == resultant(monic, padded[:len(g)]) == (
-                helpers.resultant_bareiss(monic, padded)), (monic, padded)
 
 
 def test_resultant_two_adic_division_on_large_coefficients(monkeypatch):
@@ -538,6 +513,18 @@ def test_resultant_two_adic_division_on_large_coefficients(monkeypatch):
         monkeypatch.undo()
 
 
+def test_divide_2adic_matches_floor_division():
+    # negative divisors, divisors with a large power of 2, zero and single quotients
+    rng = random.Random(157)
+    for _ in range(300):
+        d = (rng.getrandbits(rng.randint(1, 3000)) | 1) << rng.choice((0, 1, 7, 64, 700))
+        d = rng.choice((d, -d))
+        qs = [rng.choice((0, rng.randint(-(1 << 2500), 1 << 2500), rng.randint(-3, 3)))
+              for _ in range(rng.randint(1, 6))]
+        qs[rng.randrange(len(qs))] = rng.choice((-1, 1, 1 << 900))
+        assert intres._divide_2adic([q * d for q in qs], d) == qs
+
+
 @st.composite
 def _int_pairs(draw):
     coeff = st.integers(-12, 12)
@@ -556,12 +543,21 @@ def test_resultant_property_against_bareiss(pair):
 
 
 def test_resultant_zero_from_a_common_factor():
+    # the remainder sequence ends at a zero remainder after one step or several;
+    # fixed pairs with non-monic and negative leads first, both ways round
+    pairs = [(helpers.poly_mul(c, u), helpers.poly_mul(c, v))
+             for c in ([2, -3], [1, 1, 1], [-5, 0, 3])
+             for u, v in (([1, 2, -1, 4], [-3, 0, 2]), ([7, -2], [1, 1, 0, -6]),
+                          ([0, 1, 0, 0, -1], [3, -1, 2, 5, -2]))]
+    pairs += [(g, f) for f, g in pairs]
     rng = random.Random(103)
     for _ in range(100):
         common = rand_int_poly(rng, rng.randint(1, 3), lo=-5, hi=5)
         f = helpers.poly_mul(common, rand_int_poly(rng, rng.randint(0, 6)))
         g = helpers.poly_mul(common, rand_int_poly(rng, rng.randint(0, 6)))
-        assert resultant(f, g) == 0 == helpers.resultant_bareiss(f, g)
+        pairs.append((f, g))
+    for f, g in pairs:
+        assert resultant(f, g) == 0 == helpers.resultant_bareiss(f, g), (f, g)
 
 
 def test_resultant_negative_coefficients():
