@@ -208,8 +208,7 @@ def count_distinct_irreducible_factors(f: int) -> int:
         raise ValueError("factor counting needs degree at least 1")
     n = f.bit_length() - 1
     h = (n + 1) // 2
-    pivots = [0] * (n + 1)  # by bit_length of the leading term
-    pivots[3:2 * h:2] = [1 << (2 * i) | 1 << (i // (i & -i)) for i in range(1, h)]
+    pivots = _half_row_pivots(n)[:]  # the elimination writes into its own copy
     rank = h - 1
     cur = 1 << (2 * h - 2)
     for i in range(h, n):
@@ -226,6 +225,17 @@ def count_distinct_irreducible_factors(f: int) -> int:
                 break
             r ^= p
     return n - rank
+
+
+@functools.cache
+def _half_row_pivots(n: int) -> list[int]:
+    """The count's pivot table at degree n, indexed by bit_length of the leading
+    term, holding only the h - 1 half-row pivots; it depends on n alone, so it is
+    built once per degree (19.5 KB at n = 511) and callers copy it."""
+    h = (n + 1) // 2
+    pivots = [0] * (n + 1)
+    pivots[3:2 * h:2] = [1 << (2 * i) | 1 << (i // (i & -i)) for i in range(1, h)]
+    return pivots
 
 
 def squarefree_decomposition(f: int) -> list[tuple[int, int]]:

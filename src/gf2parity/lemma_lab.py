@@ -94,26 +94,38 @@ class LemmaInstance:
     @classmethod
     def from_json(cls, data) -> LemmaInstance:
         """Read back a replay file's object, which is outside input: a lemma id, an
-        integer seed, the integer sizes its checker reads, held to MAX_DEGREE and
-        MAX_SIDE, entries in 0..7, coefficients in COEFFS and string notes, or
-        ValueError."""
+        integer seed, exactly the params its generator writes (_REPLAY_PARAMS) with
+        integer sizes held to MAX_DEGREE and MAX_SIDE, entries in 0..7, coefficients
+        in COEFFS and string notes, or ValueError."""
         if not (isinstance(data, dict) and isinstance(data.get("params"), dict)
                 and type(data.get("seed")) is int):
             raise ValueError("a replay is an object with lemma_id, params and an integer seed")
         lemma_id, params = data.get("lemma_id"), data["params"]
         if lemma_id not in LEMMA_IDS:
             raise ValueError(f"unknown lemma id '{lemma_id}'")
-        # the sizes the checker reads: its pins, but none for D
-        sizes = [] if lemma_id == "D" else [params.get(k) for k in _PINS[lemma_id]]
+        keys = _REPLAY_PARAMS[lemma_id]
+        if extra := [k for k in params if k not in keys]:
+            raise ValueError(f"{lemma_id} replay params take only {', '.join(keys)}, "
+                             f"not '{extra[0]}'")
+        names = [k for k in keys if k != "variant"]
+        sizes = [params.get(k) for k in names]
         if not all(type(v) is int for v in sizes):
-            raise ValueError(f"{lemma_id} replay params need integers {', '.join(_PINS[lemma_id])}")
+            raise ValueError(f"{lemma_id} replay params need integers {', '.join(names)}")
         for size in sizes:
             gf2poly.check_degree(size)
+        if lemma_id in ("L1a", "L1b") and params.get("variant") != lemma_id[-1]:
+            raise ValueError(f"{lemma_id} replay param variant must be '{lemma_id[-1]}'")
+        if lemma_id == "GENERAL" and (want := _general_sizes(sizes[0])) != tuple(sizes[1:]):
+            raise ValueError(f"GENERAL replay params need m = {want[0]} and s = {want[1]} "
+                             f"at n = {sizes[0]}")
         rows = data.get("matrix", [])
         if not (isinstance(rows, list) and all(
                 isinstance(r, list) and all(type(e) is int and 0 <= e < 8 for e in r)
                 for r in rows)):
             raise ValueError("the replay matrix must be rows of integers in 0..7")
+        if lemma_id == "D" and sizes[0] != len(rows):
+            raise ValueError(f"D replay param size is {sizes[0]}, but the matrix has "
+                             f"{len(rows)} rows")
         _check_side(lemma_id, sum(sizes) if lemma_id in ("L1a", "L1b") else len(rows))
         polys = data.get("polys", {})
         if not (isinstance(polys, dict) and all(
@@ -474,6 +486,9 @@ _L1_PAIRS = ((5, 1), (8, 2), (12, 3), (16, 3))
 # the size pins each lemma takes, all of them or none
 _PINS = {"D": ("m",), "L1a": ("n", "s"), "L1b": ("n", "s"), "L2": ("m", "n"),
          "GENERAL": ("n",)}
+# the params each generator writes: a replay holds these and no others
+_REPLAY_PARAMS = {"D": ("size",), "L1a": ("n", "s", "variant"), "L1b": ("n", "s", "variant"),
+                  "L2": ("m", "n"), "GENERAL": ("n", "m", "s")}
 _GENERAL_DEGREES = (5, 7, 9, 11)
 
 # the largest matrix a campaign checks, as its side: the matrix for D, L2

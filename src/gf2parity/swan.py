@@ -170,9 +170,6 @@ class SupportSpec(namedtuple("SupportSpec", "n support valid")):
     def __getnewargs__(self):
         return self.n, self.support  # valid is always recomputed
 
-    def poly(self) -> int:
-        return support_poly(self.n, self.support)
-
     def to_text(self) -> str:
         return f"n={self.n};S={','.join(map(str, sorted(self.support)))}"
 
@@ -223,11 +220,15 @@ def verify_theorem_instance(n: int, support) -> ParityReport:
     """
     spec = SupportSpec(n, frozenset(support))  # theorem_parity raises, naming the bad exponent
     predicted = residue_parity(n) if spec.valid else theorem_parity(n, spec.support)
-    f = spec.poly()
-    G = g_terms(n, spec.support)
+    # a valid support holds distinct exponents 0 < i < n: f, F and G come off one sort
+    middle = sorted(spec.support)
+    f = 1 << n | 1
+    for i in middle:
+        f |= 1 << i
+    G = g_terms(n, middle)
     check_g_terms(n, G)  # malformed instances raise here
     failures: list[str] = []
-    f_terms = [(e, 1) for e in gf2poly.exponents(f)]
+    f_terms = [(n, 1), *((i, 1) for i in reversed(middle)), (0, 1)]
     r8 = intres.resultant_mod8(f_terms, G)
     if r8 != 1:
         failures.append("resultant_unit")

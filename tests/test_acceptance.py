@@ -2,10 +2,12 @@
 
 Criteria 1 and 3 share a single sweep over every odd degree in [5, 61]
 with every valid support of size at most 3 plus 100 random supports of
-size at most 6 per degree; the sweep runs once and both tests read it.
+size at most 6 per degree; the sweep runs once, and both tests and the
+digest of its reports read it.
 Each test prints one PASS or FAIL line tagged with its criterion number.
 """
 
+import hashlib
 import itertools
 import json
 import pathlib
@@ -111,6 +113,16 @@ def test_criterion_3_identity_chain(sweep):
         for n, support, rep in rows:
             assert rep.failed_identities == (), (n, support)
             assert rep.disc_mod8 == (1 if n % 8 in (1, 7) else 5), (n, support)
+
+
+def test_sweep_reports_match_recorded_digest(sweep):
+    # SHA-256 of every criterion-1 report of the sweep, one JSON line each,
+    # recorded before f, F and G were read off one sorted support
+    rows, _ = sweep
+    assert len(rows) == 13229
+    lines = "\n".join(rep.to_json_line() for _, _, rep in rows)
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "55e7daac0baead9a539c5bc98e50fd7e01c9b52c2378383f927ce1023e6af3f4"
 
 
 def test_criterion_4_even_degree_trinomials():

@@ -412,6 +412,36 @@ def test_lemma_fuzz_replay_with_non_string_notes_refused(tmp_path, capsys, notes
     assert run(capsys, args) == (1, "", "error: the replay notes must be a string\n")
 
 
+@pytest.mark.parametrize("lemma, change, error", [
+    ("l1a", {"junk": 7}, "L1a replay params take only n, s, variant, not 'junk'"),
+    ("l1a", {"variant": {"x": [1, 2]}}, "L1a replay param variant must be 'a'"),
+    ("l1b", {"variant": "a"}, "L1b replay param variant must be 'b'"),
+    ("l1a", {"variant": None}, "L1a replay param variant must be 'a'"),
+    ("d", {"m": 3}, "D replay params take only size, not 'm'"),
+    ("d", {"size": 4}, "D replay param size is 4, but the matrix has 3 rows"),
+    ("d", {"size": None}, "D replay params need integers size"),
+    ("l2", {"s": 1}, "L2 replay params take only m, n, not 's'"),
+    ("general", {"m": 4}, "GENERAL replay params need m = 5 and s = 2 at n = 9"),
+    ("general", {"s": 3}, "GENERAL replay params need m = 5 and s = 2 at n = 9"),
+    ("general", {"m": None}, "GENERAL replay params need integers n, m, s"),
+    ("general", {"variant": "a"}, "GENERAL replay params take only n, m, s, not 'variant'"),
+])
+def test_lemma_fuzz_replay_with_params_its_generator_never_writes_refused(
+        tmp_path, capsys, lemma, change, error):
+    # from_json once passed params through whole, and write_replay wrote the extras back
+    data = {"d": build_instance("D", 7, 1, m=3), "l1a": gen_l1_instance(3, "a", 8, 2),
+            "l1b": gen_l1_instance(3, "b", 8, 2), "l2": build_instance("L2", 7, 0, m=1, n=4),
+            "general": build_instance("GENERAL", 7, 0, n=9)}[lemma].to_json()
+    for key, value in change.items():
+        if value is None:
+            del data["params"][key]
+        else:
+            data["params"][key] = value
+    args = _replay_args(tmp_path, data)
+    args[2] = lemma
+    assert run(capsys, args) == (1, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("digits", [4, 1000, 4000])
 def test_lemma_fuzz_replay_with_huge_coefficients_refused(tmp_path, digits):
     # an L1a replay far below MAX_SIDE with coefficients of thousands of

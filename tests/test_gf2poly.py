@@ -281,6 +281,21 @@ def test_count_matches_all_rows_berlekamp():
         assert count_distinct_irreducible_factors(f) == helpers.berlekamp_count(f), hex(f)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 61, 511])
+def test_count_does_not_share_its_cached_pivots(n):
+    # the half-row pivots are cached per degree and the elimination writes new
+    # pivots into its table: two polynomials of one degree, then the first again.
+    # With x^n + x + 1 first, a shared table gives a wrong count at every n >= 2;
+    # at n = 1 no row is eliminated
+    rng = random.Random(n)
+    first = 1 << n | 3 if n > 1 else 3
+    second = first
+    while second == first:
+        second = helpers.random_bits(rng, n)
+    for f in (first, second, first):
+        assert count_distinct_irreducible_factors(f) == helpers.berlekamp_count(f), hex(f)
+
+
 def test_multiplicity_examples():
     assert count_factors_with_multiplicity(P("x^2+1")) == 2
     assert count_factors_with_multiplicity(P("x^4+x^2+1")) == 2

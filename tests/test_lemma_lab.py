@@ -642,3 +642,15 @@ def test_replay_round_trip_poly_instance(tmp_path):
     back = read_replay(path)
     assert back.polys == inst.polys
     assert recheck(back)
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_replay_round_trip_every_lemma(tmp_path, lemma_id):
+    # a replay holds exactly the params its generator writes, so each comes back
+    inst = build_instance(lemma_id, 47, 5)
+    path = tmp_path / "replay.json"
+    write_replay(path, inst)
+    back = read_replay(path)
+    assert back == inst
+    assert back.to_json() == inst.to_json()
+    assert recheck(back)

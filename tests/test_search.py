@@ -160,6 +160,23 @@ def test_scan_valid_records_have_matching_parities():
             assert rec.predicted_parity == rec.observed_parity, rec.exponents
 
 
+def test_scan_parity_matches_swan_trinomial_discriminant_at_the_cap():
+    # Stickelberger on Swan's closed-form disc(x^n + x^k + 1): the factor count
+    # is = n mod 2 iff disc = 1 mod 8; an even disc means f is not squarefree
+    recs = scan(SearchQuery(509, 511, "trinomial"), full_check=True)
+    assert len(recs) == 1527
+    checked = 0
+    for rec in recs:
+        n, k, _ = rec.exponents
+        disc = helpers.swan_trinomial_disc(n, k)
+        if disc % 2 == 0:
+            continue
+        want = "odd" if (n % 2 == 1) == (disc % 8 == 1) else "even"
+        assert rec.observed_parity == want, rec.exponents
+        checked += 1
+    assert checked == 1273
+
+
 def test_scan_am_flag_matches_spectrum():
     q = SearchQuery(n_lo=5, n_hi=31, shape="trinomial")
     seen = {True: 0, False: 0}
