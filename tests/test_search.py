@@ -162,7 +162,7 @@ def test_scan_valid_records_have_matching_parities():
 
 def test_scan_parity_matches_swan_trinomial_discriminant_at_the_cap():
     # Stickelberger on Swan's closed-form disc(x^n + x^k + 1): the factor count
-    # is = n mod 2 iff disc = 1 mod 8; an even disc means f is not squarefree
+    # has the parity of n iff disc = 1 mod 8; an even disc means f is not squarefree
     recs = scan(SearchQuery(509, 511, "trinomial"), full_check=True)
     assert len(recs) == 1527
     checked = 0
