@@ -50,7 +50,10 @@ def det_exact(m: IntMatrix) -> int:
     Pivots are the first nonzero entry found scanning the current column
     downward; a row swap flips the sign. All divisions are exact. A row
     whose pivot-column entry is 0 steps to a_ij * piv / prev, still exact
-    as every entry is a minor, so it is left alone when piv == prev.
+    as every entry is a minor, so when piv == prev only the rows with a
+    nonzero pivot-column entry are visited. A step with prev == 1 divides
+    by nothing, and one with piv == prev == 1 multiplies by nothing either:
+    the unit upper-triangular blocks of the L2 and GENERAL lemmas take these.
     """
     if m.n_rows != m.n_cols:
         raise ValueError("determinant of a non-square matrix")
@@ -62,22 +65,42 @@ def det_exact(m: IntMatrix) -> int:
     prev = 1
     for k in range(n - 1):
         if not a[k][k]:
-            i = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if i is None:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    break
+            else:
                 return 0
             a[k], a[i], sign = a[i], a[k], -sign
         pk = a[k]
         piv = pk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            cik = ri[k]
-            if cik:
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * piv - cik * pk[j]) // prev
+        cols = range(k + 1, n)
+        if piv == prev:
+            for ri in [ri for ri in a[k + 1:] if ri[k]]:
+                cik = ri[k]
+                if prev == 1:
+                    for j in cols:
+                        ri[j] -= cik * pk[j]
+                else:
+                    for j in cols:
+                        ri[j] = (ri[j] * piv - cik * pk[j]) // prev
                 ri[k] = 0
-            elif piv != prev:
-                for j in range(k + 1, n):
-                    ri[j] = ri[j] * piv // prev
+        else:
+            for ri in a[k + 1:]:
+                cik = ri[k]
+                if cik:
+                    if prev == 1:
+                        for j in cols:
+                            ri[j] = ri[j] * piv - cik * pk[j]
+                    else:
+                        for j in cols:
+                            ri[j] = (ri[j] * piv - cik * pk[j]) // prev
+                    ri[k] = 0
+                elif prev == 1:
+                    for j in cols:
+                        ri[j] *= piv
+                else:
+                    for j in cols:
+                        ri[j] = ri[j] * piv // prev
         prev = piv
     return sign * a[n - 1][n - 1]
 

@@ -158,7 +158,10 @@ def _shake_bits(seed: int):
 
 def _below(getrandbits, k: int) -> int:
     """Uniform in 0..k-1: the first draw below k of the fewest bits that cover it."""
-    return next(v for v in iter(functools.partial(getrandbits, (k - 1).bit_length()), -1) if v < k)
+    bits = (k - 1).bit_length()
+    while (v := getrandbits(bits)) >= k:
+        pass
+    return v
 
 
 _REJECT = 8  # no residue 0..7 and no coefficient -4..3 as a signed byte: draw again
@@ -256,10 +259,14 @@ def _degree(coeffs) -> int:
 
 # -- D: diagonal-dominant product lemma --------------------------------------
 
-def gen_d_instance(seed: int, size: int) -> LemmaInstance:
-    """Random matrix with even off-diagonal pairs multiplying to 0 mod 8."""
+def _d_size(size: int) -> None:
     if size < 1:
         raise ValueError("size must be at least 1")
+
+
+def gen_d_instance(seed: int, size: int) -> LemmaInstance:
+    """Random matrix with even off-diagonal pairs multiplying to 0 mod 8."""
+    _d_size(size)
     matrix = _matrix(_shake_bits(seed), _plan("D", size), size)
     return LemmaInstance("D", {"size": size}, seed, matrix)
 
@@ -285,12 +292,16 @@ def check_d(instance: LemmaInstance) -> bool:
 
 # -- L1: unit resultants against 2H+1 and 4H+1 -------------------------------
 
+def _l1_sizes(n: int, s: int) -> None:
+    if n <= 1 or s < 1:
+        raise ValueError("needs n > 1 and s >= 1")
+
+
 def gen_l1_instance(seed: int, variant: str, n: int, s: int) -> LemmaInstance:
     """Random (H, F0, F1[, F2]) with x | H, deg H = s, deg F_k < n - k*s."""
     if variant not in ("a", "b"):
         raise ValueError("variant must be 'a' or 'b'")
-    if n <= 1 or s < 1:
-        raise ValueError("needs n > 1 and s >= 1")
+    _l1_sizes(n, s)
     lengths = [max(n - k * s, 0) for k in range(3 if variant == "a" else 2)]
     plan = _plan("L1", s, *lengths)
     coeffs = iter(plan[2](array("b", _draw(_shake_bits(seed), plan))))  # bytes as -4..3
@@ -364,6 +375,11 @@ def _check_table(instance: LemmaInstance, side: int, table_of) -> bool:
 
 # -- L2: block matrix with unit diagonal -------------------------------------
 
+def _l2_sizes(m: int, n: int) -> None:
+    if not 0 <= m < n:
+        raise ValueError("needs 0 <= m < n")
+
+
 @functools.lru_cache(maxsize=64)
 def l2_table(m: int, n: int) -> tuple:
     """Residue table of the (m+n) x (m+n) L2 matrix [[A, B], [C', D]].
@@ -374,8 +390,7 @@ def l2_table(m: int, n: int) -> tuple:
     block, and C is upper triangular with entry (i, j) 0 mod 4 when i + j is
     even and 0 when it is odd. D has unit diagonal and entries 0 mod 4.
     """
-    if not 0 <= m < n:
-        raise ValueError("needs 0 <= m < n")
+    _l2_sizes(m, n)
 
     def slot(i: int, j: int):
         if i == j:
@@ -489,6 +504,9 @@ _PINS = {"D": ("m",), "L1a": ("n", "s"), "L1b": ("n", "s"), "L2": ("m", "n"),
 # the params each generator writes: a replay holds these and no others
 _REPLAY_PARAMS = {"D": ("size",), "L1a": ("n", "s", "variant"), "L1b": ("n", "s", "variant"),
                   "L2": ("m", "n"), "GENERAL": ("n", "m", "s")}
+# each lemma's refusal of the sizes its generator cannot draw at, taking its pins
+_SIZES = {"D": _d_size, "L1a": _l1_sizes, "L1b": _l1_sizes, "L2": _l2_sizes,
+          "GENERAL": _general_sizes}
 _GENERAL_DEGREES = (5, 7, 9, 11)
 
 # the largest matrix a campaign checks, as its side: the matrix for D, L2
@@ -505,10 +523,22 @@ def _check_side(lemma_id: str, side: int) -> None:
             f"{lemma_id} instance has matrix side {side}, above the maximum of {MAX_SIDE}")
 
 
+def _seeder(campaign_seed: int, label: str):
+    """index -> instance_seed(campaign_seed, label, index): the 8-byte blake2b of
+    f"{campaign_seed}:{label}:{index}", from a copy of the state that hashed the head."""
+    head = hashlib.blake2b(f"{campaign_seed}:{label}:".encode(), digest_size=8)
+
+    def seed(index: int) -> int:
+        h = head.copy()
+        h.update(b"%d" % index)
+        return int.from_bytes(h.digest(), "big")
+
+    return seed
+
+
 def instance_seed(campaign_seed: int, label: str, index: int) -> int:
     """Stable per-instance seed derived from the campaign seed."""
-    h = hashlib.blake2b(f"{campaign_seed}:{label}:{index}".encode(), digest_size=8)
-    return int.from_bytes(h.digest(), "big")
+    return _seeder(campaign_seed, label)(index)
 
 
 def build_instance(lemma_id: str, campaign_seed: int, index: int,
@@ -522,7 +552,8 @@ def build_instance(lemma_id: str, campaign_seed: int, index: int,
     9, 11 unless n pins it. Bad pins are refused first; see _check_pins.
     """
     _check_pins(lemma_id, n, s, m)
-    return _scheduled_instance(lemma_id, campaign_seed, index, n, s, m)
+    return _scheduled_instance(lemma_id, instance_seed(campaign_seed, lemma_id, index),
+                               index, n, s, m)
 
 
 def _check_pins(lemma_id: str, n: int | None, s: int | None, m: int | None) -> None:
@@ -540,20 +571,12 @@ def _check_pins(lemma_id: str, n: int | None, s: int | None, m: int | None) -> N
     if not pins:
         return
     _check_side(lemma_id, 2 * n - 4 if lemma_id == "GENERAL" else sum(pins.values()))
-    if lemma_id == "D" and m < 1:
-        raise ValueError("size must be at least 1")
-    if lemma_id in ("L1a", "L1b") and (n <= 1 or s < 1):
-        raise ValueError("needs n > 1 and s >= 1")
-    if lemma_id == "L2" and not 0 <= m < n:
-        raise ValueError("needs 0 <= m < n")
-    if lemma_id == "GENERAL":
-        _general_sizes(n)
+    _SIZES[lemma_id](*map(pins.get, _PINS[lemma_id]))
 
 
-def _scheduled_instance(lemma_id: str, campaign_seed: int, index: int,
+def _scheduled_instance(lemma_id: str, seed: int, index: int,
                         n: int | None, s: int | None, m: int | None) -> LemmaInstance:
-    """build_instance's draw, for pins that _check_pins has passed."""
-    seed = instance_seed(campaign_seed, lemma_id, index)
+    """build_instance's draw, from the instance's seed, for pins that _check_pins has passed."""
     if lemma_id == "D":
         return gen_d_instance(seed, 2 + index % 7 if m is None else m)
     if lemma_id == "L2":
@@ -606,9 +629,9 @@ def _fuzz_chunk(args) -> int | None:
     """Index of the first failed conclusion in trials start..stop-1, or None;
     run_fuzz has checked the pins."""
     lemma_id, campaign_seed, start, stop, n, s, m = args
-    check = _CHECKERS[lemma_id]
+    check, seed = _CHECKERS[lemma_id], _seeder(campaign_seed, lemma_id)
     for index in range(start, stop):
-        if not check(_scheduled_instance(lemma_id, campaign_seed, index, n, s, m)):
+        if not check(_scheduled_instance(lemma_id, seed(index), index, n, s, m)):
             return index
     return None
 

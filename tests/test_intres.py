@@ -112,6 +112,34 @@ def test_det_skips_settled_rows_exactly():
         assert det_exact(IntMatrix(rows)) == helpers.cofactor_det(rows), rows
 
 
+@st.composite
+def bareiss_shapes(draw):
+    """Side 0..7, entries -8..8, led by an upper-triangular block with diagonal
+    (c, 1, 1, ...): its pivots repeat, piv == prev, and are units when c = 1.
+    The row below the block may be zero through the diagonal, a zero pivot that
+    needs a swap, and a column may be all zero, which gives det 0."""
+    size = draw(st.integers(0, 7))
+    row = st.lists(st.integers(-8, 8), min_size=size, max_size=size)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    block = draw(st.integers(0, size))
+    scale = draw(st.sampled_from([1, 1, -1, 2, -3, 8]))
+    for i in range(block):
+        rows[i][:i + 1] = [0] * i + [scale if i == 0 else 1]
+    if block < size and draw(st.booleans()):
+        rows[block][:block + 1] = [0] * (block + 1)
+    if size and draw(st.booleans()):
+        j = draw(st.integers(0, size - 1))
+        for r in rows:
+            r[j] = 0
+    return rows
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(bareiss_shapes())
+def test_det_property_reaches_every_bareiss_branch(rows):
+    assert det_exact(IntMatrix(rows)) == helpers.cofactor_det(rows)
+
+
 def test_det_matches_sympy_on_lemma_matrices():
     sympy = pytest.importorskip("sympy")
     from gf2parity.lemma_lab import gen_general_matrix, gen_l2_matrix, instance_seed

@@ -555,6 +555,19 @@ def test_run_fuzz_draws_build_instances(monkeypatch, lemma, pins):
     assert seen == [build_instance(lemma, 43, i, **pins) for i in range(9)]
 
 
+@pytest.mark.parametrize("campaign_seed", [-7, 1 << 70])
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_fuzz_chunk_mid_campaign_draws_build_instances(monkeypatch, lemma, campaign_seed):
+    # a worker's chunk starts mid-campaign; its seeds cross from two digits to three
+    seen = []
+    monkeypatch.setitem(lemma_lab._CHECKERS, lemma, lambda inst: seen.append(inst) or True)
+    assert lemma_lab._fuzz_chunk((lemma, campaign_seed, 95, 106, None, None, None)) is None
+    assert seen == [build_instance(lemma, campaign_seed, i) for i in range(95, 106)]
+    assert [inst.seed for inst in seen] == [int.from_bytes(hashlib.blake2b(
+        f"{campaign_seed}:{lemma}:{i}".encode(), digest_size=8).digest(), "big")
+        for i in range(95, 106)]
+
+
 @pytest.mark.parametrize("lemma, pins, draw", [
     ("D", {"m": 0}, lambda: gen_d_instance(0, 0)),
     ("L1a", {"n": 1, "s": 1}, lambda: gen_l1_instance(0, "a", 1, 1)),
