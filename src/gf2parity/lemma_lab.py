@@ -510,8 +510,8 @@ _SIZES = {"D": _d_size, "L1a": _l1_sizes, "L1b": _l1_sizes, "L2": _l2_sizes,
 _GENERAL_DEGREES = (5, 7, 9, 11)
 
 # the largest matrix a campaign checks, as its side: the matrix for D, L2
-# and GENERAL, whose det_exact takes at most about 2.5 s at side 200 (D;
-# L2 0.8 s, GENERAL 0.5 s) and grows as the cube of the side, and n + s for
+# and GENERAL, whose det_exact takes 2.2-2.7 s at side 200 (D; L2 0.55-0.8 s,
+# GENERAL 0.3-0.5 s) and grows as the cube of the side, and n + s for
 # L1, whose resultant takes at most about 0.03 s at n + s = 200 (s from 50 to
 # 130; 0.3 ms at s = 1 or n = 2) and builds no matrix.
 MAX_SIDE = 200
@@ -524,8 +524,7 @@ def _check_side(lemma_id: str, side: int) -> None:
 
 
 def _seeder(campaign_seed: int, label: str):
-    """index -> instance_seed(campaign_seed, label, index): the 8-byte blake2b of
-    f"{campaign_seed}:{label}:{index}", from a copy of the state that hashed the head."""
+    """index -> the 8-byte blake2b of f"{campaign_seed}:{label}:{index}", the head hashed once."""
     head = hashlib.blake2b(f"{campaign_seed}:{label}:".encode(), digest_size=8)
 
     def seed(index: int) -> int:

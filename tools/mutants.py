@@ -1,6 +1,6 @@
 """Mutation check: each row of MUTANTS is one edit that the named tests must catch.
 
-    python3 tools/mutants.py [--timeout SECONDS] [--only TEXT]
+    python3 tools/mutants.py
 
 Run it from the root of a checkout. It first runs every named test on an
 unedited copy of src/, tests/, README.md and pyproject.toml, and stops with
@@ -8,16 +8,14 @@ exit 2 if one fails there. Then, for each row, it makes a fresh copy in a
 temporary directory, applies the row's one edit (refusing, with exit 2, an old
 text that does not occur exactly once in its file) and runs the row's tests
 there with pytest. A mutant is killed when a test fails or the run outlasts
-the timeout: a mutant may loop forever. A mutant whose run ends any other way,
-say because a module no longer imports, is broken: its row needs mending. It
-prints one line per mutant and exits 1 if any survives or is broken. --only
-keeps the rows whose file, old text or new text contains TEXT. It is not part
-of the Tier-1 suite.
+TIMEOUT seconds: a mutant may loop forever. A mutant whose run ends any other
+way, say because a module no longer imports, is broken: its row needs
+mending. It prints one line per mutant and exits 1 if any survives or is
+broken. It is not part of the Tier-1 suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -27,6 +25,7 @@ import time
 from pathlib import Path
 
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
+TIMEOUT = 120  # seconds; every row's tests take under 10 s on the unedited tree
 
 _DET = "tests/test_intres.py::test_det_property_reaches_every_bareiss_branch"
 
@@ -78,28 +77,22 @@ def copy_tree(root: Path, dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_tests(tree: Path, tests, timeout: float) -> str:
+def run_tests(tree: Path, tests) -> str:
     """'pass', 'fail' (a test failed), 'timeout', or 'pytest exit N' for any other
     outcome of pytest on tests in tree, such as a module that no longer imports."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-            cwd=tree, env=env, capture_output=True, timeout=timeout)
+            cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return {0: "pass", 1: "fail"}.get(done.returncode, f"pytest exit {done.returncode}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds a mutant's test run may take (default 120)")
-    parser.add_argument("--only", default="", help="run only rows mentioning this text")
-    args = parser.parse_args(argv)
+def main() -> int:
     root = Path.cwd()
-    rows = [row for row in MUTANTS if any(args.only in part for part in row[:3])]
-    for path, old, _, _ in rows:
+    for path, old, _, _ in MUTANTS:
         found = (root / path).read_text().count(old)
         if found != 1:
             print(f"{path}: old text occurs {found} times, not once: {old!r}", file=sys.stderr)
@@ -108,24 +101,24 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_tree(root, base)
-        tests = sorted({t for row in rows for t in row[3]})
-        if tests and run_tests(base, tests, args.timeout) != "pass":
+        tests = sorted({t for row in MUTANTS for t in row[3]})
+        if run_tests(base, tests) != "pass":
             print("the named tests do not pass on the unedited tree", file=sys.stderr)
             return 2
         survivors = broken = 0
-        for number, (path, old, new, row_tests) in enumerate(rows, 1):
+        for number, (path, old, new, row_tests) in enumerate(MUTANTS, 1):
             tree = Path(tmp) / f"m{number}"
             copy_tree(root, tree)
             target = tree / path
             target.write_text(target.read_text().replace(old, new))
-            outcome = run_tests(tree, row_tests, args.timeout)
+            outcome = run_tests(tree, row_tests)
             verdict = {"pass": "SURVIVED", "fail": "killed", "timeout": "killed (timeout)"}.get(
                 outcome, f"BROKEN ({outcome})")
             survivors += outcome == "pass"
             broken += verdict.startswith("BROKEN")
             print(f"{number:3d} {verdict:16s} {path}: {old.strip()[:60]!r}", flush=True)
             shutil.rmtree(tree)
-    print(f"{len(rows)} mutants, {survivors} survived, {broken} broken, "
+    print(f"{len(MUTANTS)} mutants, {survivors} survived, {broken} broken, "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if survivors or broken else 0
 
