@@ -14,9 +14,7 @@ import sys
 
 from . import gf2poly
 from . import intres
-from . import lemma_lab
-from . import search as search_mod
-from . import swan
+from . import swan  # search and lemma_lab load in the commands that run them
 from .swan import EVEN, ODD
 
 
@@ -93,7 +91,7 @@ def _print_records(kind, records, fmt: str) -> None:
         writer.writerows(rows)
         return
     header = kind._fields
-    if kind is search_mod.SearchRecord:
+    if kind.__name__ == "SearchRecord":
         # the polynomial stands in for its degree and exponents
         header = ("poly", *header[2:])
         rows = ([gf2poly.format_poly(r.poly()), *row[2:]] for r, row in zip(records, rows))
@@ -104,19 +102,29 @@ def _print_records(kind, records, fmt: str) -> None:
 
 
 def _cmd_search(args) -> int:
-    mod8 = frozenset(int(tok) for tok in args.mod8.split(",")) if args.mod8 else None
-    q = search_mod.SearchQuery(
+    from . import search
+
+    mod8 = None
+    if args.mod8 is not None:
+        tokens = args.mod8.split(",")
+        if not all(map(gf2poly.is_exponent_text, tokens)):
+            raise ValueError(f"bad --mod8 '{args.mod8}', "
+                             "expected comma-separated residues from {1,3,5,7}")
+        mod8 = frozenset(map(int, tokens))
+    q = search.SearchQuery(
         n_lo=args.n_lo, n_hi=args.n_hi, shape=args.shape,
         exponents=args.exponents, m1_bound=args.m1_bound, mod8=mod8)
-    records = search_mod.scan(q, full_check=args.full_check, jobs=args.jobs)
-    _print_records(search_mod.SearchRecord, records, args.format)
+    records = search.scan(q, full_check=args.full_check, jobs=args.jobs)
+    _print_records(search.SearchRecord, records, args.format)
     print(f"{len(records)} records", file=sys.stderr)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    report = search_mod.corollary_audit(args.n_lo, args.n_hi, jobs=args.jobs)
-    _print_records(search_mod.AuditRow, report.rows, args.format)
+    from . import search
+
+    report = search.corollary_audit(args.n_lo, args.n_hi, jobs=args.jobs)
+    _print_records(search.AuditRow, report.rows, args.format)
     print(f"{len(report.rows)} degrees, {report.candidates} candidates",
           file=sys.stderr)
     return 0 if report.ok else 2
@@ -127,6 +135,8 @@ _LEMMA_BY_FLAG = {"d": "D", "l1a": "L1a", "l1b": "L1b", "l2": "L2",
 
 
 def _cmd_lemma_fuzz(args) -> int:
+    from . import lemma_lab
+
     if args.replay:
         inst = lemma_lab.read_replay(args.replay)
         if inst.lemma_id != _LEMMA_BY_FLAG[args.lemma]:

@@ -12,6 +12,8 @@ import itertools
 import math
 import random
 
+from hypothesis import strategies as st
+
 from gf2parity.intres import IntMatrix, det_exact
 
 
@@ -154,6 +156,22 @@ def cofactor_det(rows) -> int:
 def random_bits(rng: random.Random, degree: int) -> int:
     """Uniform polynomial of the exact degree."""
     return (1 << degree) | rng.getrandbits(degree)
+
+
+@st.composite
+def binary_polys(draw, squares: bool = True):
+    """Binary polynomials of degree 1..511, a quarter each (a third without
+    squares): any degree, even degree, trinomials x^n + x^k + 1 and perfect
+    squares h^2."""
+    kind = draw(st.sampled_from(("any", "even", "trinomial", "square")[:4 if squares else 3]))
+    if kind == "trinomial":
+        n = draw(st.integers(2, 511))
+        return 1 << n | 1 << draw(st.integers(1, n - 1)) | 1
+    if kind == "square":
+        h = draw(st.integers(2, (1 << 256) - 1))
+        return o_mul(h, h)
+    n = 2 * draw(st.integers(1, 255)) if kind == "even" else draw(st.integers(1, 511))
+    return 1 << n | draw(st.integers(0, (1 << n) - 1))
 
 
 def o_derivative(bits: int) -> int:

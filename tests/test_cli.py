@@ -192,6 +192,15 @@ def test_audit(capsys):
     assert rows[1]["n"] == 13 and rows[1]["irreducible"] == 0
 
 
+@pytest.mark.parametrize("mod8", ["", "1,,3", "\u0663", "+5"])
+def test_search_mod8_takes_only_plain_residues(capsys, mod8):
+    # int() takes a sign, spaces and other scripts' digits, and an empty list
+    # would ask for no degree at all
+    rc, out, err = run(capsys, ["search", "--n-lo", "5", "--n-hi", "7", "--mod8", mod8])
+    assert (rc, out, err) == (1, "", f"error: bad --mod8 '{mod8}', expected "
+                                     "comma-separated residues from {1,3,5,7}\n")
+
+
 @pytest.mark.parametrize("command", ["audit", "search"])
 def test_inverted_degree_range_refused(capsys, command):
     rc, out, err = run(capsys, [command, "--n-lo", "9", "--n-hi", "5"])
@@ -604,6 +613,21 @@ def test_parity_query_imports_no_record_or_csv_machinery():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "predicted=odd observed=odd t=1\n[]\n")
+
+
+def test_light_commands_load_no_search_or_fuzz_modules():
+    # the six commands that classify one polynomial or spec never load the
+    # record search, the lemma fuzz, the process pool or hashlib
+    src = str(Path(gf2parity.__file__).parents[1])
+    argvs = [["parity", "x^21+x^7+1"], ["factors", "x^21+x^7+1"], ["disc", "x^5+x^2+1"],
+             ["trace", "x^21+x^7+1"], ["predict", "--spec", "n=13;S=1,9"],
+             ["verify", "--spec", "n=13;S=1,9"]]
+    code = (f"import sys; from gf2parity.cli import main; print([main(a) for a in {argvs!r}]); "
+            "print(sorted({'gf2parity.lemma_lab', 'gf2parity.search', 'gf2parity.pool',"
+            " 'hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0]", "[]"], proc.stderr
 
 
 def test_stdout_matches_recorded_digest(capsys):

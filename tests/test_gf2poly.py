@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
 
 from gf2parity import gf2poly
 from gf2parity.gf2poly import (
@@ -185,6 +186,17 @@ def test_squarefree_decomposition_reconstructs():
         assert prod == f
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(helpers.binary_polys())
+def test_squarefree_decomposition_property(f):
+    prod = 1
+    for part, mult in squarefree_decomposition(f):
+        assert is_squarefree(part)
+        for _ in range(mult):
+            prod = helpers.o_mul(part, prod)
+    assert prod == f
+
+
 def test_squarefree_iff_all_multiplicities_one():
     rng = random.Random(23)
     for _ in range(200):
@@ -279,6 +291,12 @@ def test_count_matches_all_rows_berlekamp():
     # the half-rows count against every row eliminated, degrees 13..300
     for f in _count_inputs(random.Random(151), 2000):
         assert count_distinct_irreducible_factors(f) == helpers.berlekamp_count(f), hex(f)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(helpers.binary_polys())
+def test_count_property_against_all_rows_berlekamp(f):
+    assert count_distinct_irreducible_factors(f) == helpers.berlekamp_count(f)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 61, 511])

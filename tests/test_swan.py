@@ -7,6 +7,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from gf2parity.gf2poly import (
     count_distinct_irreducible_factors,
@@ -79,6 +80,14 @@ def test_stickelberger_matches_count_parity():
         t = count_distinct_irreducible_factors(f)
         want = ODD if t % 2 else EVEN
         assert stickelberger_parity(f) == want, hex(f)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(helpers.binary_polys(squares=False))
+def test_stickelberger_property_against_count_parity(f):
+    assume(is_squarefree(f))
+    t = count_distinct_irreducible_factors(f)
+    assert stickelberger_parity(f) == (ODD if t % 2 else EVEN)
 
 
 @pytest.mark.parametrize("degree", [127, 255, 511])

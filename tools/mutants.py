@@ -28,6 +28,9 @@ COPIED = ("src", "tests", "README.md", "pyproject.toml")
 TIMEOUT = 120  # seconds; every row's tests take under 10 s on the unedited tree
 
 _DET = "tests/test_intres.py::test_det_property_reaches_every_bareiss_branch"
+_SPLIT_G = "tests/test_intres.py::test_resultant_mod8_property_on_split_g"
+_ROOTS = ("tests/test_search.py::test_frobenius_roots_on_the_hard_cases",
+          "tests/test_search.py::test_frobenius_kernels_agree_on_every_degree")
 
 # (file, exact old text, new text, the tests that must fail)
 MUTANTS = (
@@ -64,6 +67,30 @@ MUTANTS = (
      "if not check(_scheduled_instance(lemma_id, seed(index), index, n, s, m)):",
      "if not check(_scheduled_instance(lemma_id, seed(index - start), index, n, s, m)):",
      ("tests/test_lemma_lab.py::test_fuzz_chunk_mid_campaign_draws_build_instances",)),
+    # resultant_mod8: the remainder step, the Hensel lift's guard and the truncation of A*
+    ("src/gf2parity/intres.py", "(8 - c) * p", "(7 - c) * p", (_SPLIT_G,)),  # loops
+    ("src/gf2parity/intres.py", "if d:  # lift", "if d > 1:  # lift",
+     (_SPLIT_G, "tests/test_intres.py::test_resultant_mod8_long_hensel_factors")),
+    ("src/gf2parity/intres.py", "3 * (m - d)", "2 * (m - d)",
+     (_SPLIT_G, "tests/test_intres.py::test_resultant_mod8_unit_remainder_is_its_own_cofactor")),
+    # the exact resultant: the sign of two odd degrees, and h after a degree gap
+    ("src/gf2parity/intres.py", "        if da & db & 1:\n            sign = -sign\n", "",
+     ("tests/test_intres.py::test_resultant_smaller_first_degree_with_both_odd",
+      "tests/test_intres.py::test_resultant_property_against_bareiss")),
+    ("src/gf2parity/intres.py", "h = lb ** delta * h // h ** delta", "h = lb ** delta",
+     ("tests/test_intres.py::test_resultant_sequence_with_a_degree_gap",
+      "tests/test_intres.py::test_discriminant_matches_bareiss_oracle_up_to_degree_127")),
+    # the audit's square roots: even fields gathered first, odd ones shifted (m + 1) / 2
+    ("src/gf2parity/search.py", "(*range(0, n, 2), *range(1, n, 2))",
+     "(*range(1, n, 2), *range(0, n, 2))", _ROOTS),
+    ("src/gf2parity/search.py", "(m + 1) // 2 * w", "(m - 1) // 2 * w", _ROOTS),
+    # the export table, and the light commands' imports
+    ("src/gf2parity/__init__.py", 'run_fuzz",\n    "search": "AuditReport',
+     '",\n    "search": "run_fuzz AuditReport',
+     ("tests/test_exports.py::test_export_is_its_submodules_object",)),
+    ("src/gf2parity/cli.py", "from . import intres\n",
+     "from . import intres\nfrom . import search\n",
+     ("tests/test_cli.py::test_light_commands_load_no_search_or_fuzz_modules",)),
 )
 
 
