@@ -112,11 +112,6 @@ def _lane_bytes(lanes: int) -> int:
     return -(-(49 * lanes).bit_length() // 8)
 
 
-def _reverse(x: int, degree: int, w: int) -> int:
-    """x^degree x(1/x) for packed x of degree at most degree in w-byte lanes."""
-    return int.from_bytes(x.to_bytes(w * (degree + 1), "little"), "big") >> 8 * (w - 1)
-
-
 def resultant_mod8(f_terms, g_terms) -> int:
     """Resultant of monic f and g reduced into 0..7, each polynomial given
     as (exponent, coefficient) pairs with distinct exponents.
@@ -139,12 +134,12 @@ def resultant_mod8(f_terms, g_terms) -> int:
       and res(A, B) = l^a (-1)^(a deg B) res(lB, A mod lB).
     - Even leading coefficient: Hensel lifting from B = (B mod 2) * 1 mod 2
       gives B = P U mod 8 with P monic of degree d = deg(B mod 2) and
-      U = 1 mod 2; B = 1 mod 2 is its own U, with P = 1. res(A, P)
-      continues as in the odd case. U(0) is odd, so with U* and A* the
-      reversals at degrees u = deg U and a and V the monic U(0) U*,
-      res(A, U) = U(0)^a res(V, A* mod V): the signs (-1)^(au) of
-      reversing both and of swapping cancel. Only the lowest 3u
-      coefficients of A* count: U = 1 mod 2 gives V = x^u mod 2, so
+      U = 1 mod 2. res(A, P) continues as in the odd case; at d = 0, B = 1
+      mod 2 is its own U, with P = 1, and the pair ends. U(0) is odd, so
+      with U* and A* the reversals at degrees u = deg U and a and V the
+      monic U(0) U*, res(A, U) = U(0)^a res(V, A* mod V): the signs
+      (-1)^(au) of reversing both and of swapping cancel. Only the lowest
+      3u coefficients of A* count: U = 1 mod 2 gives V = x^u mod 2, so
       x^u = 2W mod V for some W, and x^(3u) = 8 W^3 = 0 mod V and 8.
       Those are the top 3u coefficients of A, reversed.
     """
@@ -160,10 +155,19 @@ def resultant_mod8(f_terms, g_terms) -> int:
         f |= (c & 7) << bits * e
     for e, c in g_terms:
         g |= (c & 7) << bits * e
+    return _resultant_mod8_packed(f, n, g, lanes, w)
+
+
+def _resultant_mod8_packed(f: int, n: int, g: int, lanes: int, w: int) -> int:
+    """resultant_mod8 of f and g packed in `lanes` lanes of w bytes, with
+    w = _lane_bytes(lanes), f monic of degree n and g's lanes in 0..7. f's
+    lanes may hold any value below 256^w: they are reduced mod 8 here, so the
+    disc's Graeffe step (swan) hands over y U^2 - 1 straight off one multiply."""
+    bits = 8 * w
     ones = int.from_bytes(b"\x01".ljust(w, b"\0") * lanes, "little")
     sevens, eights = 7 * ones, 8 * ones
     out = 1
-    work = [(f, n, g)]
+    work = [(f & sevens, n, g)]
     while work:
         a_poly, a, b = work.pop()
         while a:
@@ -177,15 +181,17 @@ def resultant_mod8(f_terms, g_terms) -> int:
                     b0 = b0 * b0 - (a_poly >> bits & 7) * b0 * b1 + (a_poly & 7) * b1 * b1
                 out = out * b0 % 8
                 break
-            if not b & ones:
+            p = b & ones
+            if not p:
                 return 0
-            d = ((b & ones).bit_length() - 1) // bits
+            d = (p.bit_length() - 1) // bits
             if d == m:
                 lc = b >> bits * m
-                out = out * (lc if a & 1 else 1) * (-1 if a & m & 1 else 1) % 8
+                if a & 1:
+                    out = out * (-lc if m & 1 else lc) % 8
                 a_poly, a, b = b * lc & sevens, m, a_poly
                 continue
-            p, u = b & ones, b
+            u = b
             if d:  # lift B = (B mod 2) * 1 to mod 4, then to mod 8
                 u = 1
                 for k in (1, 2):
@@ -198,10 +204,18 @@ def resultant_mod8(f_terms, g_terms) -> int:
                     p = (p + (e << k)) & sevens
                     u = (u + (q << k)) & sevens
             u0 = u & 7
-            out = out * (u0 if a & 1 else 1) * (-1 if a & d & 1 else 1) % 8
-            t = max(0, a + 1 - 3 * (m - d))
-            work.append((_reverse(u, m - d, w) * u0 & sevens, m - d,
-                         _reverse(a_poly >> bits * t, a - t, w)))
+            if a & 1:
+                out = out * (-u0 if d & 1 else u0) % 8
+            t = a + 1 - 3 * (m - d)
+            if t < 0:
+                t = 0
+            # x^k X(1/x) at degree k: the lanes' bytes read the other way round
+            v = int.from_bytes(u.to_bytes(w * (m - d + 1), "little"), "big") >> bits - 8
+            r = a_poly >> bits * t
+            r = int.from_bytes(r.to_bytes(w * (a - t + 1), "little"), "big") >> bits - 8
+            work.append((v * u0 & sevens, m - d, r))
+            if not d:
+                break
             a_poly, a, b = p, d, a_poly
     return out
 

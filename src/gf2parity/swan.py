@@ -20,8 +20,14 @@ The mod-8 path builds no integer polynomial. F, F' and G go to
 intres.resultant_mod8, a Euclid remainder sequence on packed Z/8
 polynomials, as (exponent, coefficient) pairs read off the support: F is
 1 at each exponent e of f, F' is e at e - 1, and G is n^2 at 0 and
-n(n - i) at each i in S. lift_01 builds the coefficient list that the
-exact discriminant needs.
+n(n - i) at each i in S. When f has constant term 1 and only odd
+exponents otherwise, as every criterion-1 instance has, F = 1 + x U(x^2)
+and the disc takes one Graeffe root-squaring step (Householder, Amer.
+Math. Monthly 66, 1959): the squares of F's roots are the roots of
+F2 = y U(y)^2 - 1 = -F(x) F(-x), and F'(x) = P(x^2) with P = U + 2y U'(y),
+so res(F, F') = res(F2, P) over Z, with P of half the degree. res(F, G)
+keeps the direct route, so the determinant bridge compares the two.
+lift_01 builds the coefficient list that the exact discriminant needs.
 """
 
 from __future__ import annotations
@@ -52,9 +58,20 @@ def discriminant_mod8(f: int) -> int:
 
 def _disc_mod8(f_terms: list[tuple[int, int]]) -> int:
     """disc(F) = (-1)^(n(n-1)/2) res(F, F') mod 8 for F given as (e, 1) pairs,
-    highest e first: F' is e at e - 1 for each exponent e of F."""
+    highest e first: F' is e at e - 1 for each exponent e of F. F = 1 + x U(x^2)
+    takes the Graeffe step instead, with P = sum e y^((e-1)/2) over F's odd e."""
     n = f_terms[0][0]
-    r = intres.resultant_mod8(f_terms, [(e - 1, e) for e, _ in f_terms if e])
+    if f_terms[-1][0] == 0 and all(e & 1 for e, _ in f_terms[:-1]):
+        w = intres._lane_bytes(n + 1)
+        bits = 8 * w
+        u = p = 0
+        for e, _ in f_terms[:-1]:
+            u |= 1 << bits * (e >> 1)
+            p |= (e & 7) << bits * (e >> 1)
+        # a lane of U^2 counts at most (n + 1) / 2 products, so none carries
+        r = intres._resultant_mod8_packed(u * u << bits | 7, n, p, n + 1, w)
+    else:
+        r = intres.resultant_mod8(f_terms, [(e - 1, e) for e, _ in f_terms if e])
     return -r % 8 if (n * (n - 1) // 2) % 2 else r
 
 

@@ -431,6 +431,36 @@ def test_resultant_mod8_property_on_split_g(pair):
     assert resultant_mod8(terms(f), terms(g)) == resultant(f, g) % 8
 
 
+@st.composite
+def _lane_switch_pairs(draw):
+    """Monic f and g terms whose lanes = 1 + max(deg f, top exponent of g) sit
+    on either side of a lane-width switch: 5 or 6 (one byte or two), through
+    either argument, and 1,337 or 1,338 (two bytes or three), through g's top
+    exponent over an f of degree 0..8. g is sparse, and its top coefficient
+    may be 0 mod 8."""
+    lanes = draw(st.sampled_from((5, 6, 1337, 1338)))
+    if lanes < 7 and draw(st.booleans()):
+        n, top = lanes - 1, draw(st.integers(0, lanes - 1))
+    else:
+        n, top = draw(st.integers(0, min(8, lanes - 2))), lanes - 1
+    f = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)) + [1]
+    below = draw(st.sets(st.integers(0, top - 1), max_size=12)) if top else set()
+    g_terms = [(e, draw(st.integers(-20, 20))) for e in (*sorted(below), top)]
+    return f, g_terms, lanes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_lane_switch_pairs())
+def test_resultant_mod8_property_at_the_lane_switches(pair):
+    f, g_terms, lanes = pair
+    top = g_terms[-1][0]
+    assert 1 + max(len(f) - 1, top) == lanes
+    g = [0] * (top + 1)
+    for e, c in g_terms:
+        g[e] = c
+    assert resultant_mod8(terms(f), g_terms) == resultant(f, g) % 8
+
+
 def test_r1_reduction_invariance():
     # monic f: R(f, g) = R(f, g - q f) for any integer polynomial q
     rng = random.Random(47)
@@ -555,7 +585,18 @@ def test_divide_2adic_matches_floor_division():
 
 @st.composite
 def _int_pairs(draw):
+    """Half dense pairs, half pairs with a planned degree gap: f = q g + r with
+    |lc(g)| >= 2, deg q >= 1 and 1 <= deg r <= deg g - 2, so the sequence
+    drops two degrees or more at its second step, where h = lc(g)^deg q."""
     coeff = st.integers(-12, 12)
+    if draw(st.booleans()):
+        g = draw(st.lists(coeff, min_size=3, max_size=7)) + [draw(st.sampled_from((-3, -2, 2, 5)))]
+        q = draw(st.lists(coeff, min_size=1, max_size=3)) + [draw(st.sampled_from((-1, 1, 3)))]
+        r = draw(st.lists(coeff, min_size=1, max_size=len(g) - 3)) + [draw(st.sampled_from((-2, 1, 4)))]
+        f = helpers.poly_mul(q, g)
+        for i, c in enumerate(r):
+            f[i] += c
+        return (f, g) if draw(st.booleans()) else (g, f)
     f = draw(st.lists(coeff, min_size=1, max_size=10).filter(lambda f: f[-1]))
     g = draw(st.lists(coeff, min_size=1, max_size=10))
     if g[-1] == 0 and f[-1] != 1:

@@ -11,12 +11,13 @@ from hypothesis import assume, given, settings
 
 from gf2parity.gf2poly import (
     count_distinct_irreducible_factors,
+    exponents,
     from_exponents,
     is_squarefree,
     parse_poly,
 )
 from gf2parity import intres, swan
-from gf2parity.intres import resultant_mod8
+from gf2parity.intres import discriminant_int, resultant_mod8
 from gf2parity.swan import (
     EVEN,
     ODD,
@@ -116,6 +117,70 @@ def test_mod8_and_parity_match_swan_on_trinomials():
             assert stickelberger_parity(f) == want, (n, k)
         else:
             assert not is_squarefree(f), (n, k)
+
+
+def _disc_both_routes(f):
+    """disc(F) mod 8 for the 0/1 lift F of f by discriminant_mod8, which takes
+    the Graeffe step when F = 1 + x U(x^2), and by res(F, F') directly."""
+    exps = exponents(f)
+    n = exps[0]
+    r = resultant_mod8([(e, 1) for e in exps], [(e - 1, e) for e in exps if e])
+    return discriminant_mod8(f), -r % 8 if (n * (n - 1) // 2) % 2 else r
+
+
+def test_disc_mod8_every_polynomial_up_to_degree_12():
+    # squarefree or not, on whichever route each takes: a linear F has disc 1
+    for f in range(2, 1 << 13):
+        want = discriminant_int(lift_01(f)) % 8 if f >= 4 else 1
+        assert discriminant_mod8(f) == want, hex(f)
+
+
+@pytest.mark.parametrize("text, graeffe", [
+    ("x+1", True), ("x^3+1", True), ("x^11+1", True), ("x^5+x^3+x+1", True),
+    ("x^2+1", False), ("x^12+1", False), ("x^5+x^2+1", False), ("x", False),
+    ("x^3+x", False), ("x^5+x^3+x", False), ("x^11+x^9+x^3+x", False)])
+def test_disc_mod8_route_boundary(monkeypatch, text, graeffe):
+    # the Graeffe step needs a constant term and every other exponent odd;
+    # odd exponents with no constant term keep the general route
+    f = parse_poly(text)
+    want = discriminant_int(lift_01(f)) % 8 if f >= 4 else 1
+    calls = []
+    general = intres.resultant_mod8
+    monkeypatch.setattr(intres, "resultant_mod8", lambda *a: calls.append(a) or general(*a))
+    assert discriminant_mod8(f) == want
+    assert bool(calls) != graeffe
+
+
+@pytest.mark.parametrize("n", [127, 255, 511])
+def test_disc_routes_match_swan_on_odd_trinomials(n):
+    # x^n + x^k + 1 with n and k odd is 1 + x U(x^2): both routes against
+    # Swan's closed form at every odd k
+    for k in range(1, n, 2):
+        want = helpers.swan_trinomial_disc(n, k) % 8
+        assert _disc_both_routes(1 << n | 1 << k | 1) == (want, want), (n, k)
+
+
+def test_disc_routes_match_exact_on_criterion_1_instances():
+    rng = random.Random(30)
+    for _ in range(2000):
+        n = rng.randrange(5, 62, 2)
+        universe = support_universe(n)
+        f = support_poly(n, rng.sample(universe, rng.randint(0, min(len(universe), 5))))
+        want = discriminant_int(lift_01(f)) % 8
+        assert _disc_both_routes(f) == (want, want), hex(f)
+
+
+def test_disc_routes_match_sympy_on_dense_family_members():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(31)
+    for n in (101, 127, 127):
+        exps = {n, 0, *(e for e in range(1, n, 2) if rng.random() < 0.6)}
+        want = sympy.discriminant(sympy.Poly(sum(x ** e for e in exps), x)) % 8
+        assert _disc_both_routes(from_exponents(exps)) == (want, want), n
+    f = from_exponents({0, *range(1, 128, 2)})  # every odd exponent
+    want = sympy.discriminant(sympy.Poly(sum(x ** e for e in exponents(f)), x)) % 8
+    assert _disc_both_routes(f) == (want, want)
 
 
 # -- support validation and the predictor --------------------------------------

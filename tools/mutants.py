@@ -29,6 +29,7 @@ TIMEOUT = 120  # seconds; every row's tests take under 10 s on the unedited tree
 
 _DET = "tests/test_intres.py::test_det_property_reaches_every_bareiss_branch"
 _SPLIT_G = "tests/test_intres.py::test_resultant_mod8_property_on_split_g"
+_DISC = "tests/test_swan.py::test_disc_mod8_every_polynomial_up_to_degree_12"
 _ROOTS = ("tests/test_search.py::test_frobenius_roots_on_the_hard_cases",
           "tests/test_search.py::test_frobenius_kernels_agree_on_every_degree")
 
@@ -67,19 +68,39 @@ MUTANTS = (
      "if not check(_scheduled_instance(lemma_id, seed(index), index, n, s, m)):",
      "if not check(_scheduled_instance(lemma_id, seed(index - start), index, n, s, m)):",
      ("tests/test_lemma_lab.py::test_fuzz_chunk_mid_campaign_draws_build_instances",)),
-    # resultant_mod8: the remainder step, the Hensel lift's guard and the truncation of A*
+    # resultant_mod8: the remainder step, the end of a pair at d = 0, the Hensel
+    # lift's guard and the truncation of A*
     ("src/gf2parity/intres.py", "(8 - c) * p", "(7 - c) * p", (_SPLIT_G,)),  # loops
+    ("src/gf2parity/intres.py", "            if not d:\n                break\n",
+     "            if not d:\n                return out\n",
+     ("tests/test_intres.py::test_resultant_mod8_unit_remainder_is_its_own_cofactor",)),
     ("src/gf2parity/intres.py", "if d:  # lift", "if d > 1:  # lift",
      (_SPLIT_G, "tests/test_intres.py::test_resultant_mod8_long_hensel_factors")),
     ("src/gf2parity/intres.py", "3 * (m - d)", "2 * (m - d)",
      (_SPLIT_G, "tests/test_intres.py::test_resultant_mod8_unit_remainder_is_its_own_cofactor")),
+    # its lanes: one byte wide at every size, or too few for g's top exponent
+    ("src/gf2parity/intres.py", "    w = _lane_bytes(lanes)\n", "    w = 1\n",
+     ("tests/test_intres.py::test_resultant_mod8_long_hensel_factors",)),
+    ("src/gf2parity/intres.py", "lanes = 1 + max(n, max((e for e, _ in g_terms), default=0))",
+     "lanes = 1 + n", ("tests/test_intres.py::test_resultant_mod8_one_shot_g_far_above_f",
+                       "tests/test_intres.py::test_resultant_mod8_property_at_the_lane_switches")),
+    # the disc's Graeffe step: U^2's cross terms, P's coefficients 2a + 1, F2's
+    # constant -1, and which polynomials take it
+    ("src/gf2parity/swan.py", "u * u << bits | 7",
+     "(u * u + sum(1 << 2 * bits * (e >> 1) for e, _ in f_terms[:-1])) // 2 << bits | 7",
+     (_DISC,)),
+    ("src/gf2parity/swan.py", "(e & 7) << bits", "(e - 1 & 7) << bits", (_DISC,)),
+    ("src/gf2parity/swan.py", "<< bits | 7", "<< bits | 1", (_DISC,)),
+    ("src/gf2parity/swan.py", "if f_terms[-1][0] == 0 and all(", "if all(",
+     (_DISC, "tests/test_swan.py::test_disc_mod8_route_boundary")),
     # the exact resultant: the sign of two odd degrees, and h after a degree gap
     ("src/gf2parity/intres.py", "        if da & db & 1:\n            sign = -sign\n", "",
      ("tests/test_intres.py::test_resultant_smaller_first_degree_with_both_odd",
       "tests/test_intres.py::test_resultant_property_against_bareiss")),
     ("src/gf2parity/intres.py", "h = lb ** delta * h // h ** delta", "h = lb ** delta",
      ("tests/test_intres.py::test_resultant_sequence_with_a_degree_gap",
-      "tests/test_intres.py::test_discriminant_matches_bareiss_oracle_up_to_degree_127")),
+      "tests/test_intres.py::test_discriminant_matches_bareiss_oracle_up_to_degree_127",
+      "tests/test_intres.py::test_resultant_property_against_bareiss")),
     # the audit's square roots: even fields gathered first, odd ones shifted (m + 1) / 2
     ("src/gf2parity/search.py", "(*range(0, n, 2), *range(1, n, 2))",
      "(*range(1, n, 2), *range(0, n, 2))", _ROOTS),
